@@ -36,7 +36,6 @@ from repro.formats.base import (
     corruption_guard,
     crc32_values,
     exact_tile_bounds,
-    ragged_arange,
     verify_mode,
 )
 from repro.formats.registry import get_codec
@@ -74,6 +73,71 @@ OMNISCI_OP_OVERHEAD = 24
 #: Systems whose columns must be decompressed to global memory before the
 #: query kernel can read them.
 DECOMPRESS_FIRST_SYSTEMS = ("nvcomp", "planner", "gpu-bp")
+
+
+def codec_tile_activity(
+    tile_active: np.ndarray, elems: int, c0: int, c1: int, tile_lo: int = 0
+) -> np.ndarray:
+    """Which codec tiles ``[c0, c1)`` of ``elems`` rows overlap a live engine tile.
+
+    ``tile_active[i]`` is engine tile ``tile_lo + i``; the codec window
+    must not start after it (``c0 * elems <= tile_lo * TILE``).  A codec
+    tile spanning several engine tiles is live if any of them is.
+    """
+    if TILE % elems and elems % TILE:
+        raise ValueError(
+            f"codec tile of {elems} rows does not divide the engine tile of {TILE}"
+        )
+    unit = min(elems, TILE)  # the finer grid: both tile sizes are multiples
+    per_codec = elems // unit
+    units = np.zeros((c1 - c0) * per_codec, dtype=bool)
+    off = (tile_lo * TILE - c0 * elems) // unit
+    fine = np.repeat(tile_active, TILE // unit)[: units.size - off]
+    units[off : off + fine.size] = fine
+    return units.reshape(c1 - c0, per_codec).any(axis=1)
+
+
+def decode_active_tiles(
+    codec: TileCodec, enc, active, c0, out, mask=None, predicate=None, scratch=None
+) -> int:
+    """Decode codec tiles ``c0 + flatnonzero(active)`` with one codec call.
+
+    Tile ``c0 + i`` lands at ``out[i * elems:]``; inactive tiles' rows are
+    zero (``False`` in ``mask``).  With a ``predicate`` the decode is the
+    codec's fused ``decode_filter_tiles_into`` and ``mask`` receives its
+    row mask.  A fragmented batch is decoded into ``scratch(key, n, dtype)``
+    buffers (default: fresh arrays) and placed in one vectorized step;
+    only the column's last tile may be short.  Returns the values decoded.
+    """
+    elems, n = codec.tile_elements(enc), active.size
+    if active.all():
+        if predicate is None:
+            return codec.decode_range_into(enc, c0, c0 + n, out)
+        return codec.decode_filter_tiles_into(
+            enc, np.arange(c0, c0 + n), predicate, out, mask
+        )
+    scratch = scratch or (lambda key, size, dtype: np.empty(size, dtype=dtype))
+    idx = np.flatnonzero(active)
+    tiles, cap = idx + c0, idx.size * elems
+    batch = scratch("batch", cap, np.int64)
+    placed = [(out, batch, 0)]
+    written = 0
+    if predicate is not None:
+        mbatch = scratch("batch-mask", cap, np.bool_)
+        placed.append((mask, mbatch, False))
+        if idx.size:
+            written = codec.decode_filter_tiles_into(enc, tiles, predicate, batch, mbatch)
+    elif idx.size:
+        written = codec.decode_tiles_into(enc, tiles, batch)
+    full, tail = divmod(written, elems)
+    for dst, src, fill in placed:
+        grid = dst[: n * elems].reshape(n, elems)
+        grid[~active] = fill
+        grid[idx[:full]] = src[: full * elems].reshape(full, elems)
+        if tail:  # the column's short last tile
+            start = idx[full] * elems
+            dst[start : start + tail] = src[full * elems : written]
+    return written
 
 
 @dataclass
@@ -308,29 +372,38 @@ class CrystalEngine:
         tile_active = np.asarray(tile_active, dtype=bool)
         if tile_active.all():
             return self.column_values(name)
-        # A cached full image is strictly better than a partial decode.
-        if self.pool is not None:
-            if self.pool.lookup(f"decoded/{name}") is not None:
-                resident = self.pool.get(f"decoded/{name}")
-                if resident is not None:
-                    return resident.payload
-        else:
-            cached = self._decoded_cache.get(name)
-            if cached is not None:
-                return cached
-        codec = get_codec(col.codec_name)
+        cached = self._cached_full_image(name)
+        if cached is not None:
+            return cached
+        values, _ = self._decode_pruned(col, tile_active)
+        return values.astype(col.payload.dtype, copy=False)
+
+    def _cached_full_image(self, name: str) -> np.ndarray | None:
+        """A cached full decoded image: strictly better than a re-decode."""
+        if self.pool is None:
+            return self._decoded_cache.get(name)
+        if self.pool.lookup(f"decoded/{name}") is None:
+            return None
+        resident = self.pool.get(f"decoded/{name}")
+        return None if resident is None else resident.payload
+
+    def _decode_pruned(self, col, tile_active: np.ndarray, predicate=None):
+        """Decode the codec tiles overlapping surviving engine tiles.
+
+        Returns ``(values, rowmask)`` over the whole column; ``rowmask``
+        is ``None`` without a ``predicate``.
+        """
+        codec, enc = get_codec(col.codec_name), col.payload
         assert isinstance(codec, TileCodec)
-        enc = col.payload
-        idx = self._active_codec_tiles(codec, enc, tile_active)
-        out = np.zeros(enc.count, dtype=enc.dtype)
-        if idx.size:
-            elems = codec.tile_elements(enc)
-            with corruption_guard(name):
-                vals = codec.decode_tiles(enc, idx)
-            lens = np.minimum((idx + 1) * elems, enc.count) - idx * elems
-            pos = np.repeat(idx * elems, lens) + ragged_arange(lens)
-            out[pos] = vals
-        return out
+        elems, n_codec = codec.tile_elements(enc), codec.num_tiles(enc)
+        active = codec_tile_activity(tile_active, elems, 0, n_codec)
+        out = np.empty(n_codec * elems, dtype=np.int64)
+        mask = None if predicate is None else np.empty(out.size, dtype=np.bool_)
+        with corruption_guard(col.name):
+            written = decode_active_tiles(codec, enc, active, 0, out, mask, predicate)
+        if predicate is not None and active.any():
+            self.count_fused_kernel(written)
+        return out[: enc.count], None if mask is None else mask[: enc.count]
 
     def fusion_allowed(self, enc) -> bool:
         """Whether fused decode+filter may serve this encoded column.
@@ -367,65 +440,14 @@ class CrystalEngine:
         col = self.store[name]
         if not self.inline_column(col):
             return col.values, None
-        enc = col.payload
-        if not self.fusion_allowed(enc):
+        if not self.fusion_allowed(col.payload):
             return self.column_values_pruned(name, tile_active), None
-        # A cached full image is strictly better than any re-decode.
-        if self.pool is not None:
-            if self.pool.lookup(f"decoded/{name}") is not None:
-                resident = self.pool.get(f"decoded/{name}")
-                if resident is not None:
-                    return resident.payload, None
-        else:
-            cached = self._decoded_cache.get(name)
-            if cached is not None:
-                return cached, None
-        tile_active = np.asarray(tile_active, dtype=bool)
-        codec = get_codec(col.codec_name)
-        assert isinstance(codec, TileCodec)
-        idx = self._active_codec_tiles(codec, enc, tile_active)
-        out = np.zeros(enc.count, dtype=np.int64)
-        rowmask = np.zeros(enc.count, dtype=np.bool_)
-        if idx.size:
-            elems = codec.tile_elements(enc)
-            cap = idx.size * elems
-            vals = np.empty(cap, dtype=np.int64)
-            vmask = np.empty(cap, dtype=np.bool_)
-            with corruption_guard(name):
-                written = codec.decode_filter_tiles_into(
-                    enc, idx, predicate, vals, vmask
-                )
-            lens = np.minimum((idx + 1) * elems, enc.count) - idx * elems
-            pos = np.repeat(idx * elems, lens) + ragged_arange(lens)
-            out[pos] = vals[:written]
-            rowmask[pos] = vmask[:written]
-            self.count_fused_kernel(written)
-        return out, rowmask
-
-    def _active_codec_tiles(
-        self, codec: TileCodec, enc, tile_active: np.ndarray
-    ) -> np.ndarray:
-        """Map an engine-tile activity mask to surviving codec tiles."""
-        n_codec = codec.num_tiles(enc)
-        elems = codec.tile_elements(enc)
-        if elems == TILE:
-            mask = tile_active[:n_codec]
-        elif TILE % elems == 0:
-            factor = TILE // elems
-            mask = np.repeat(tile_active, factor)[:n_codec]
-        elif elems % TILE == 0:
-            # One codec tile spans several engine tiles: decode it if any
-            # of them survived.
-            factor = elems // TILE
-            padded = np.zeros(n_codec * factor, dtype=bool)
-            padded[: tile_active.size] = tile_active
-            mask = padded.reshape(n_codec, factor).any(axis=1)
-        else:
-            raise ValueError(
-                f"codec tile of {elems} rows does not divide the engine "
-                f"tile of {TILE}"
-            )
-        return np.flatnonzero(mask)
+        cached = self._cached_full_image(name)
+        if cached is not None:
+            return cached, None
+        return self._decode_pruned(
+            col, np.asarray(tile_active, dtype=bool), predicate
+        )
 
     def column_tile_bounds(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """Conservative per-engine-tile value bounds for a fact column.
@@ -679,11 +701,18 @@ class CrystalEngine:
         self,
         table_name: str,
         key_col: str,
-        payload: np.ndarray | None = None,
-        mask: np.ndarray | None = None,
+        payload: np.ndarray | Callable[[], np.ndarray] | None = None,
+        mask: np.ndarray | Callable[[], np.ndarray] | None = None,
         read_cols: int = 2,
     ) -> Lookup:
-        """Build a dense join lookup from a dimension table (one kernel)."""
+        """Build a dense join lookup from a dimension table (one kernel).
+
+        ``payload`` and ``mask`` may be zero-argument callables producing
+        them: they run only when the lookup is really built, so a morsel
+        replaying the plan pass's lookup never evaluates dimension filters.
+        """
+        payload = payload() if callable(payload) else payload
+        mask = mask() if callable(mask) else mask
         table = self.db.table(table_name)
         keys = table[key_col]
         lookup = make_lookup(f"{table_name}.{key_col}", keys, payload, mask)
@@ -848,7 +877,7 @@ class CrystalEngine:
         else:
             groups = query.fn(self)
         kernels = self.device.kernel_count - kernels_before
-        self._last_timeline = self.device.timeline()[kernels_before:]
+        self._last_timeline = self.device.timeline(since=kernels_before)
         return QueryResult(
             name=query.name,
             system=self.store.system,
@@ -1190,12 +1219,21 @@ class FactPipeline:
         live_codes = codes[self.mask]
         if live_codes.size and (live_codes.min() < 0 or live_codes.max() >= num_groups):
             raise ValueError("group codes out of range")
+        keys = None
+        if live_codes.size * 32 < num_groups:
+            # Few live rows over a large group domain (a morsel's rows
+            # against q4.3's 1.75M groups): sum over the codes present
+            # instead of a dense num_groups array.  bincount adds each
+            # group's weights in row order either way: same sums.
+            keys, live_codes = np.unique(live_codes, return_inverse=True)
         sums = np.bincount(
             live_codes,
             weights=np.asarray(weights)[self.mask].astype(np.float64),
-            minlength=num_groups,
+            minlength=num_groups if keys is None else keys.size,
         )
-        return {int(c): int(sums[c]) for c in np.flatnonzero(sums)}
+        nz = np.flatnonzero(sums)
+        codes_out = nz if keys is None else keys[nz]
+        return {int(c): int(s) for c, s in zip(codes_out.tolist(), sums[nz].tolist())}
 
     def total_sum(self, values: np.ndarray) -> dict[int, int]:
         """Ungrouped ``sum(values)`` over live rows (query flight 1)."""

@@ -16,20 +16,27 @@ This module executes the same plans tile-chunk-by-tile-chunk:
    the fused kernel's resource footprint (registers, shared memory).
 2. The surviving tiles are partitioned into contiguous **morsels** of
    ``morsel_tiles`` engine tiles.  Each morsel re-runs the query
-   function against a morsel-scoped pipeline that decodes only its own
-   chunk of each needed column — into a per-worker
-   :class:`~repro.formats.base.DecodeArena` via ``decode_range_into``,
-   so steady state allocates nothing — then filters, probes and
-   accumulates partial aggregates over just those rows.
+   function against a morsel-scoped pipeline (lookups are replayed, so
+   dimension filters never re-run) that decodes only its own chunk of
+   each needed column — all of the chunk's live codec tiles in one
+   batched codec call, into a per-worker
+   :class:`~repro.formats.base.DecodeArena`, so steady state allocates
+   nothing — then filters, probes and accumulates partial aggregates
+   over just those rows.
 3. Partials are merged **in deterministic morsel order** with exact
    integer arithmetic, so answers are bit-identical to the materialized
    path at any worker count; one fused fact kernel is then priced from
    the merged accounting (same launch count as the materialized plan).
 
-Morsels run on a ``ThreadPoolExecutor``: the NumPy kernels doing the
-heavy lifting drop the GIL, so decode and filter work overlaps across
-workers.  Only the coordinator thread ever touches the simulated
-``GPUDevice`` (it is not thread-safe); workers do pure array work.
+Morsels run on a ``ThreadPoolExecutor``.  A morsel's work is many small
+NumPy calls that hold the GIL for most of their run, so workers in one
+process mostly take turns: on a 2-vCPU host a second worker doubled each
+morsel's wall time and left the query's no faster (two single-worker
+processes side by side each kept their speed).  A morsel's cost is set
+by its rows: one codec call per column, and group partials sized by the
+live rows, not the group domain.  Only the coordinator thread ever
+touches the simulated ``GPUDevice`` (it is not thread-safe); workers do
+pure array work.
 """
 
 from __future__ import annotations
@@ -47,6 +54,8 @@ from repro.engine.crystal import (
     CrystalEngine,
     FactPipeline,
     SSBQuery,
+    codec_tile_activity,
+    decode_active_tiles,
 )
 from repro.engine.lookup import Lookup
 from repro.engine.predicates import (
@@ -390,17 +399,6 @@ class StreamPlan:
     agg_ops: tuple[str, ...] = ()
 
 
-def _mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` runs of True in a boolean mask."""
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate([idx[:1], idx[breaks + 1]])
-    ends = np.concatenate([idx[breaks], idx[-1:]]) + 1
-    return list(zip(starts.tolist(), ends.tolist()))
-
-
 class TileStreamExecutor:
     """Runs one query's plan morsel-by-morsel over the surviving tiles."""
 
@@ -527,20 +525,15 @@ class TileStreamExecutor:
         c1 = min(-(-r1 // elems), codec.num_tiles(enc))
         arena = self._arena()
         cap = (c1 - c0) * elems
-        buf = arena.scratch(name, cap)
-        view = buf[:cap]
-        mask_buf = None
+        view = arena.scratch(name, cap)[:cap]
+        mview = None
         if predicate is not None:
-            mask_buf = arena.scratch(f"mask/{name}", cap, dtype=np.bool_)
+            mview = arena.scratch(f"mask/{name}", cap, dtype=np.bool_)[:cap]
+        active = codec_tile_activity(tile_active, elems, c0, c1, morsel.tile_lo)
         try:
             with corruption_guard(name):
-                self._decode_chunk(
-                    codec, enc, c0, c1, elems, view,
-                    self._codec_tile_activity(
-                        tile_active, elems, c0, c1, morsel.tile_lo
-                    ),
-                    predicate,
-                    None if mask_buf is None else mask_buf[:cap],
+                fused_rows = decode_active_tiles(
+                    codec, enc, active, c0, view, mview, predicate, arena.scratch
                 )
         except CorruptTileError as exc:
             # Re-raise with the owning morsel span so the coordinator
@@ -553,77 +546,13 @@ class TileStreamExecutor:
                 f"{morsel.tile_lo}..{morsel.tile_hi}, rows {r0}..{r1}]",
             ) from exc
         off = r0 - c0 * elems
-        vals = buf[off : off + (r1 - r0)]
-        if want_mask:
-            if mask_buf is None:
-                return vals, None
-            return vals, mask_buf[off : off + (r1 - r0)]
-        return vals
-
-    def _decode_chunk(
-        self, codec, enc, c0, c1, elems, view, active, predicate, mview
-    ) -> None:
-        """Decode codec tiles [c0, c1) into ``view``, plain or fused."""
-        if predicate is None:
-            if active.all():
-                codec.decode_range_into(enc, c0, c1, view)
-            else:
-                view[:] = 0
-                for lo, hi in _mask_runs(active):
-                    # Chunks before the column's final tile are always
-                    # full, so each run's values land exactly at its
-                    # tile offset.
-                    codec.decode_tiles_into(
-                        enc, np.arange(c0 + lo, c0 + hi), view[lo * elems :]
-                    )
-            return
-        fused_rows = 0
-        if active.all():
-            fused_rows = codec.decode_filter_tiles_into(
-                enc, np.arange(c0, c1), predicate, view, mview
-            )
-        else:
-            view[:] = 0
-            mview[:] = False
-            for lo, hi in _mask_runs(active):
-                fused_rows += codec.decode_filter_tiles_into(
-                    enc,
-                    np.arange(c0 + lo, c0 + hi),
-                    predicate,
-                    view[lo * elems :],
-                    mview[lo * elems :],
-                )
+        vals = view[off : off + (r1 - r0)]
+        if not want_mask:
+            return vals
+        if mview is None:
+            return vals, None
         self.engine.count_fused_kernel(fused_rows)
-
-    def _codec_tile_activity(
-        self,
-        tile_active: np.ndarray,
-        elems: int,
-        c0: int,
-        c1: int,
-        tile_lo: int,
-    ) -> np.ndarray:
-        """Morsel-local engine-tile activity mapped onto codec tiles [c0, c1)."""
-        n_local = c1 - c0
-        if elems == TILE:
-            out = np.zeros(n_local, dtype=bool)
-            n = min(n_local, tile_active.size)
-            out[:n] = tile_active[:n]
-            return out
-        if TILE % elems == 0:
-            factor = TILE // elems
-            return np.repeat(tile_active, factor)[:n_local]
-        if elems % TILE == 0:
-            # A codec tile spans several engine tiles and may start
-            # before the morsel; pad to the codec grid and reduce.
-            factor = elems // TILE
-            padded = np.zeros(n_local * factor, dtype=bool)
-            off = tile_lo - c0 * factor
-            padded[off : off + tile_active.size] = tile_active
-            return padded.reshape(n_local, factor).any(axis=1)
-        raise ValueError(
-            f"codec tile of {elems} rows does not divide the engine tile of {TILE}"
-        )
+        return vals, mview[off : off + (r1 - r0)]
 
     # -- orchestration ------------------------------------------------------
 

@@ -43,6 +43,10 @@ class GPUDevice:
         self._cost = CostModel(self.spec)
         self.launches: list[KernelLaunch] = []
         self.transfers: list[TransferRecord] = []
+        # Running totals, added in ledger order: the same floats a
+        # left-to-right sum over the ledger gives, at O(1) per read.
+        self._kernel_ms = 0.0
+        self._transfer_ms = 0.0
 
     # -- kernels -----------------------------------------------------------
 
@@ -73,19 +77,22 @@ class GPUDevice:
         yield launch
         launch.time_ms = self._cost.launch_time_ms(launch)
         self.launches.append(launch)
+        self._kernel_ms += launch.time_ms
 
     # -- transfers ---------------------------------------------------------
 
     def transfer_to_device(self, nbytes: int) -> float:
         """Copy ``nbytes`` host→device over PCIe; returns the time in ms."""
-        time_ms = self.spec.pcie.transfer_ms(nbytes)
-        self.transfers.append(TransferRecord("h2d", nbytes, time_ms))
-        return time_ms
+        return self._transfer("h2d", nbytes)
 
     def transfer_to_host(self, nbytes: int) -> float:
         """Copy ``nbytes`` device→host over PCIe; returns the time in ms."""
+        return self._transfer("d2h", nbytes)
+
+    def _transfer(self, direction: str, nbytes: int) -> float:
         time_ms = self.spec.pcie.transfer_ms(nbytes)
-        self.transfers.append(TransferRecord("d2h", nbytes, time_ms))
+        self.transfers.append(TransferRecord(direction, nbytes, time_ms))
+        self._transfer_ms += time_ms
         return time_ms
 
     # -- ledger ------------------------------------------------------------
@@ -93,12 +100,12 @@ class GPUDevice:
     @property
     def kernel_ms(self) -> float:
         """Total simulated kernel time so far."""
-        return sum(launch.time_ms for launch in self.launches)
+        return self._kernel_ms
 
     @property
     def transfer_ms(self) -> float:
         """Total simulated transfer time so far."""
-        return sum(t.time_ms for t in self.transfers)
+        return self._transfer_ms
 
     @property
     def elapsed_ms(self) -> float:
@@ -118,16 +125,18 @@ class GPUDevice:
         """Clear the ledger (start a fresh measurement window)."""
         self.launches.clear()
         self.transfers.clear()
+        self._kernel_ms = 0.0
+        self._transfer_ms = 0.0
 
-    def timeline(self) -> list[dict]:
+    def timeline(self, since: int = 0) -> list[dict]:
         """Per-launch breakdown of the ledger (EXPLAIN-style rows).
 
-        One row per kernel launch with its resource signature, achieved
-        occupancy, traffic, and priced time — what ``nvprof`` would show
-        for the real system.
+        One row per kernel launch from index ``since`` on, with its
+        resource signature, achieved occupancy, traffic, and priced time
+        — what ``nvprof`` would show for the real system.
         """
         rows = []
-        for launch in self.launches:
+        for launch in self.launches[since:]:
             t = launch.traffic
             rows.append(
                 {

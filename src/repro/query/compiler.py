@@ -40,6 +40,7 @@ Lowering decisions, in order:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -91,6 +92,28 @@ class _JoinPlan:
     @property
     def filtered(self) -> bool:
         return bool(self.dim_filters)
+
+    def dim_mask(self, db) -> np.ndarray | None:
+        """The dimension rows every dim filter keeps (``None``: all)."""
+        if not self.dim_filters:
+            return None
+        dim = db.table(self.join.table)
+        mask = np.ones(np.asarray(dim[self.join.key]).size, dtype=bool)
+        for pred in self.dim_filters:
+            mask &= pred.row_mask(np.asarray(dim[pred.column]))
+        return mask
+
+    def payload(self, db) -> np.ndarray | None:
+        """The group-by attributes packed into one code per dimension row."""
+        if not self.payload_attrs:
+            return None
+        dim = db.table(self.join.table)
+        payload = np.zeros(np.asarray(dim[self.join.key]).size, dtype=np.int64)
+        for attr in self.payload_attrs:
+            payload = payload * attr.domain + (
+                np.asarray(dim[attr.column], dtype=np.int64) - attr.base
+            )
+        return payload
 
 
 @dataclass
@@ -400,33 +423,18 @@ class QueryCompiler:
         model_fact = self.model.fact
 
         def fn(engine) -> dict[int, int]:
-            db = engine.db
-            lookups = []
-            for jp in kept_joins:
-                dim = db.table(jp.join.table)
-                mask = None
-                if jp.dim_filters:
-                    mask = np.ones(
-                        np.asarray(dim[jp.join.key]).size, dtype=bool
-                    )
-                    for pred in jp.dim_filters:
-                        mask &= pred.row_mask(np.asarray(dim[pred.column]))
-                payload = None
-                if jp.payload_attrs:
-                    first = jp.payload_attrs[0]
-                    payload = (
-                        np.asarray(dim[first.column], dtype=np.int64) - first.base
-                    )
-                    for attr in jp.payload_attrs[1:]:
-                        payload = payload * attr.domain + (
-                            np.asarray(dim[attr.column], dtype=np.int64)
-                            - attr.base
-                        )
-                lookups.append(
-                    engine.build_lookup(
-                        jp.join.table, jp.join.key, payload=payload, mask=mask
-                    )
+            # Dimension filters and payloads are thunks: only a lookup
+            # that is really built evaluates them (a streaming morsel
+            # replays the plan pass's lookup instead).
+            lookups = [
+                engine.build_lookup(
+                    jp.join.table,
+                    jp.join.key,
+                    payload=partial(jp.payload, engine.db),
+                    mask=partial(jp.dim_mask, engine.db),
                 )
+                for jp in kept_joins
+            ]
 
             p = engine.pipeline(name)
             if pushdown is not None:

@@ -60,6 +60,27 @@ class TestGroupAggregate:
             == p.group_sum(codes, quantity, 1)
         )
 
+    @pytest.mark.parametrize("live_discount", (0, None))  # sparse, dense path
+    def test_group_sum_over_huge_domain_matches_dense_bincount(
+        self, pipeline, live_discount
+    ):
+        p, db = pipeline
+        num_groups = 1_750_000  # q4.3's group domain
+        if live_discount is not None:
+            p.filter(p.load("lo_discount") == live_discount)  # ~5,500 live rows
+        # 40 codes spread over the domain, tens of rows each: sums past
+        # 2**53 round in float64, so addition order shows.
+        codes = np.random.default_rng(3).integers(0, 40, p.n) * 43_749
+        weights = np.asarray(p.load("lo_extendedprice"), np.int64) * 1_000_000_007
+        weights[codes == 0] = 0  # a zero-sum group, which is dropped
+        dense = np.bincount(
+            codes[p.mask], weights=weights[p.mask].astype(np.float64),
+            minlength=num_groups,
+        )
+        expected = {int(c): int(dense[c]) for c in np.flatnonzero(dense)}
+        assert 0 < len(expected) < p.live_count
+        assert p.group_sum(codes, weights, num_groups) == expected
+
     def test_empty_selection(self, pipeline):
         p, db = pipeline
         quantity = p.load("lo_quantity")
@@ -78,6 +99,10 @@ class TestGroupAggregate:
                 p.group_aggregate(codes, None, 1, how=how)
         with pytest.raises(ValueError, match="range"):
             p.group_aggregate(codes + 9, quantity, 3, how="min")
+        p.filter(quantity == 1)  # few live rows: the sparse group_sum path
+        for bad in (-1, 1_750_000):
+            with pytest.raises(ValueError, match="range"):
+                p.group_sum(codes + bad, quantity, 1_750_000)
 
     def test_charged_to_fused_kernel(self, ssb_db, none_store):
         engine = CrystalEngine(ssb_db, none_store, GPUDevice())

@@ -20,21 +20,27 @@ Four layers of coverage:
 from __future__ import annotations
 
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.engine.crystal import CrystalEngine, SSBQuery
-from repro.engine.predicates import And, Range
+from repro.engine.crystal import TILE, CrystalEngine, SSBQuery
+from repro.engine.predicates import And, Equals, InSet, Range
 from repro.engine.ssb_queries import QUERIES
 from repro.engine.streaming import DEFAULT_MORSEL_TILES, TileStreamExecutor
 from repro.formats.base import DecodeArena, TileCodec
 from repro.formats.registry import get_codec
+from repro.query.compiler import QueryCompiler
+from repro.query.ssb import SSB_SPECS, ssb_model
 from repro.serving.pool import ColumnPool
 from repro.ssb.loader import ColumnStore, StoredColumn
 
 GPU_CODECS = ("gpu-for", "gpu-dfor", "gpu-rfor", "gpu-bp", "gpu-simdbp128")
 MATRIX_QUERIES = ("q1.1", "q1.3", "q2.1", "q3.1", "q4.1")
+#: Checkerboard plans keep every other run of this many engine tiles:
+#: 1 fragments the 128- and 512-row codec tiles, 8 the 4096-row ones.
+CHECKERBOARD_WIDTHS = (1, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +156,82 @@ def _encoded_store(db, codec_name: str, columns) -> ColumnStore:
 
 @pytest.fixture(scope="module", params=GPU_CODECS)
 def codec_store(request, ssb_db):
-    return request.param, _encoded_store(
-        ssb_db, request.param, _columns_for(MATRIX_QUERIES)
+    codec_name = request.param
+    store = _encoded_store(
+        ssb_db, codec_name, _columns_for(MATRIX_QUERIES) + CHECKERBOARD_COLUMNS
     )
+    # A positional column: lets a plan select rows by engine tile.
+    rows = np.arange(ssb_db.num_lineorder_rows, dtype=np.int64)
+    enc = get_codec(codec_name).encode(rows)
+    store.columns["row_id"] = StoredColumn(
+        "row_id", "gpu-star", rows, enc, enc.nbytes, codec_name=codec_name
+    )
+    return codec_name, store
+
+
+CHECKERBOARD_COLUMNS = ("lo_discount", "lo_revenue", "lo_quantity")
+CHECKERBOARD_DISCOUNT = Range("lo_discount", 2, 8)
+
+
+def _checkerboard_tiles(tile: np.ndarray, width: int, last_tile: int) -> np.ndarray:
+    return ((tile // width) % 2 == 0) | (tile == last_tile)
+
+
+def _checkerboard_query(width: int, num_rows: int) -> SSBQuery:
+    """Keeps every other run of ``width`` engine tiles and the short last
+    tile, then loads columns over that fragmented tile set: a fused
+    decode+filter (``lo_discount``) and plain decodes."""
+    last_tile = (num_rows - 1) // TILE
+
+    def fn(engine):
+        p = engine.pipeline(f"checkerboard-{width}")
+        p.filter_pushdown(And((CHECKERBOARD_DISCOUNT,)))
+        rows = np.asarray(p.load("row_id"))
+        p.filter(_checkerboard_tiles(rows // TILE, width, last_tile))
+        p.filter_predicate(CHECKERBOARD_DISCOUNT, p.load("lo_discount"))
+        revenue = p.load("lo_revenue")
+        codes = np.asarray(p.load("lo_quantity"), dtype=np.int64) % 50
+        result = p.group_sum(codes, revenue, 50)
+        p.finish()
+        return result
+
+    return SSBQuery(f"checkerboard-{width}", ("row_id",) + CHECKERBOARD_COLUMNS, fn)
+
+
+def _checkerboard_oracle(db, width: int) -> dict[int, int]:
+    lo = db.lineorder
+    tile = np.arange(db.num_lineorder_rows) // TILE
+    keep = _checkerboard_tiles(tile, width, int(tile[-1]))
+    keep &= (lo["lo_discount"] >= 2) & (lo["lo_discount"] <= 8)
+    sums = np.bincount(
+        np.asarray(lo["lo_quantity"], dtype=np.int64)[keep] % 50,
+        weights=np.asarray(lo["lo_revenue"], dtype=np.float64)[keep],
+        minlength=50,
+    )
+    return {int(c): int(sums[c]) for c in np.flatnonzero(sums)}
+
+
+def _matrix_query(qname: str, db) -> SSBQuery:
+    if qname.startswith("checkerboard-"):
+        return _checkerboard_query(int(qname.split("-")[1]), db.num_lineorder_rows)
+    return QUERIES[qname]
 
 
 class TestStreamingBitIdentity:
-    @pytest.mark.parametrize("qname", MATRIX_QUERIES)
+    @pytest.mark.parametrize(
+        "qname",
+        MATRIX_QUERIES + tuple(f"checkerboard-{w}" for w in CHECKERBOARD_WIDTHS),
+    )
     def test_matches_materialized_every_worker_count(
         self, codec_store, ssb_db, qname
     ):
         codec_name, store = codec_store
-        query = QUERIES[qname]
+        query = _matrix_query(qname, ssb_db)
         ref = CrystalEngine(ssb_db, store).run(query)
+        if qname.startswith("checkerboard-"):
+            # Every codec tile size leaves a short last tile here.
+            assert ssb_db.num_lineorder_rows % 128
+            assert ref.groups == _checkerboard_oracle(ssb_db, int(qname[-1]))
         for workers, morsel_tiles in ((1, None), (2, None), (8, None), (2, 3)):
             engine = CrystalEngine(
                 ssb_db,
@@ -179,6 +248,38 @@ class TestStreamingBitIdentity:
             assert stats["workers"] == workers
             assert stats["morsels"] == len(stats["morsel_ms"])
             assert stats["peak_decoded_bytes"] > 0
+
+    def test_one_codec_call_per_column_per_morsel(
+        self, codec_store, ssb_db, monkeypatch
+    ):
+        codec_name, store = codec_store
+        calls: Counter = Counter()
+        depth = [0]
+        cls = type(get_codec(codec_name))
+        for attr in ("decode_tiles_into", "decode_range_into", "decode_filter_tiles_into"):
+
+            def counted(self, enc, *args, _inner=getattr(cls, attr)):
+                depth[0] += 1
+                try:
+                    return _inner(self, enc, *args)
+                finally:
+                    depth[0] -= 1
+                    if depth[0] == 0:  # count outermost calls only
+                        calls[id(enc)] += 1
+
+            monkeypatch.setattr(cls, attr, counted)
+        query = _checkerboard_query(8 if codec_name == "gpu-simdbp128" else 1,
+                                    ssb_db.num_lineorder_rows)
+        CrystalEngine(ssb_db, store).run(query)
+        # Fragmented column loads (row_id's full-grid load decodes via
+        # the allocating decode_range) are one call each.
+        assert len(calls) == 3 and max(calls.values()) == 1, calls
+        calls.clear()
+        engine = CrystalEngine(ssb_db, store, streaming=True, stream_workers=1)
+        engine.run(query)
+        morsels = engine.last_stream_stats["morsels"]
+        assert morsels > 1
+        assert len(calls) == 4 and max(calls.values()) <= morsels, calls
 
     def test_uncompressed_store_streams_too(self, ssb_db, none_store):
         query = QUERIES["q2.1"]
@@ -298,6 +399,40 @@ class TestMergeSemantics:
         # customer, supplier, date: one build kernel each despite the
         # query function re-running once per morsel.
         assert len(names) == 3
+
+    @pytest.mark.parametrize("flight", ("q2.1", "q3.2", "q4.1"))
+    def test_dimension_filters_evaluated_once_per_query(
+        self, ssb_db, gpu_star_store, monkeypatch, flight
+    ):
+        dim_arrays = {
+            id(values)
+            for table in ("customer", "supplier", "part", "date")
+            for values in ssb_db.table(table).values()
+        }
+        calls = [0]
+        for cls in (Range, Equals, InSet):
+
+            def counted(self, values, _inner=cls.row_mask):
+                calls[0] += id(values) in dim_arrays
+                return _inner(self, values)
+
+            monkeypatch.setattr(cls, "row_mask", counted)
+        query = QueryCompiler(ssb_model(), ssb_db, store=gpu_star_store).compile(
+            SSB_SPECS[flight]
+        )
+        calls[0] = 0  # the compiler's own dimension reductions
+        CrystalEngine(ssb_db, gpu_star_store).run(query)
+        per_query = calls[0]
+        assert per_query > 0
+        for morsel_tiles in (None, 3):
+            calls[0] = 0
+            engine = CrystalEngine(
+                ssb_db, gpu_star_store, streaming=True, stream_workers=2,
+                morsel_tiles=morsel_tiles,
+            )
+            engine.run(query)
+            assert engine.last_stream_stats["morsels"] > 1
+            assert calls[0] == per_query, morsel_tiles
 
     def test_streaming_gating(self, ssb_db, gpu_star_store):
         engine = CrystalEngine(ssb_db, gpu_star_store, streaming=True)
