@@ -2,6 +2,7 @@
 
 from conftest import BENCH_N
 
+from repro.core.hybrid import choose_gpu_star
 from repro.experiments import compression_speed
 from repro.experiments.common import print_experiment
 from repro.formats.registry import get_codec
@@ -39,6 +40,13 @@ def test_encode_gpu_rfor(benchmark):
     data = uniform_bitwidth(16, min(BENCH_N, 500_000))
     codec = get_codec("gpu-rfor")
     benchmark(codec.encode, data)
+
+
+def test_choose_gpu_star(benchmark):
+    """GPU-*: lay out all three schemes, pack only the smallest."""
+    data = uniform_bitwidth(16, min(BENCH_N, 500_000))
+    choice = benchmark(choose_gpu_star, data)
+    assert choice.encoded.nbytes == min(choice.candidate_bytes.values())
 
 
 def test_decode_gpu_for(benchmark):

@@ -5,7 +5,7 @@ the delta chain at every **tile** (a set of ``D`` blocks of 128 integers,
 Figure 6): each tile stores its first value separately and delta-encodes
 the rest, padding with zero deltas so every block holds 128 entries.  The
 deltas are then packed with the GPU-FOR block format
-(:func:`repro.formats.gpufor.pack_blocks`), whose per-block FOR reference
+(:func:`repro.formats.gpufor.layout_blocks`), whose per-block FOR reference
 absorbs negative deltas without zigzag tricks.
 
 Decoding a tile is bit-unpacking followed by a block-wide inclusive prefix
@@ -17,6 +17,8 @@ Overhead is 0.75 bits/int (GPU-FOR) + one first-value word per tile of
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,11 +38,28 @@ from repro.formats.gpufor import (
     BLOCK,
     MINIBLOCK,
     MINIBLOCKS_PER_BLOCK,
+    BlockLayout,
     block_metadata,
-    pack_blocks,
+    layout_blocks,
     unpack_block_indices,
     unpack_blocks,
 )
+
+
+@dataclass
+class DForLayout:
+    """A GPU-DFOR encoding sized exactly, before any data word is written."""
+
+    header: np.ndarray
+    #: Each tile's first value (int32, as stored).
+    first_values: np.ndarray
+    #: Layout of the per-tile delta stream.
+    blocks: BlockLayout
+
+    @property
+    def nbytes(self) -> int:
+        """The encoded column's :attr:`~EncodedColumn.nbytes`."""
+        return self.header.nbytes + self.first_values.nbytes + self.blocks.nbytes
 
 
 class GpuDFor(TileCodec):
@@ -56,11 +75,12 @@ class GpuDFor(TileCodec):
 
     # -- ColumnCodec --------------------------------------------------------
 
-    def encode(self, values: np.ndarray) -> EncodedColumn:
+    def layout(self, values: np.ndarray) -> DForLayout:
+        """Validate ``values`` and size their encoding without packing it."""
         values = np.asarray(values)
         if values.ndim != 1:
             raise ValueError("encode expects a 1-D integer array")
-        v = values.astype(np.int64)
+        v = values.astype(np.int64, copy=False)
         tile = self._d_blocks * BLOCK
         n = v.size
 
@@ -69,36 +89,45 @@ class GpuDFor(TileCodec):
             if pad:
                 # Padding with the last value yields zero deltas.
                 v = np.concatenate([v, np.full(pad, v[-1], dtype=np.int64)])
-            n_tiles = v.size // tile
             first_values = v[::tile].copy()
             deltas = np.empty_like(v)
             deltas[0] = 0
-            deltas[1:] = v[1:] - v[:-1]
+            np.subtract(v[1:], v[:-1], out=deltas[1:])
             deltas[::tile] = 0  # restart the chain at each tile
         else:
-            n_tiles = 0
             first_values = np.zeros(0, dtype=np.int64)
             deltas = v
 
-        data, block_starts, bits = pack_blocks(deltas)
-        header = np.array([n, BLOCK, gpufor.MINIBLOCKS_PER_BLOCK], dtype=np.uint32)
-        if n_tiles and (
+        blocks = layout_blocks(deltas)
+        if first_values.size and (
             first_values.max() >= 2**31 or first_values.min() < -(2**31)
         ):
             raise ValueError("first values do not fit in int32")
+        return DForLayout(
+            header=np.array([n, BLOCK, gpufor.MINIBLOCKS_PER_BLOCK], dtype=np.uint32),
+            first_values=first_values.astype(np.int32),
+            blocks=blocks,
+        )
+
+    def encode(self, values: np.ndarray, layout: DForLayout | None = None) -> EncodedColumn:
+        """Pack ``values``; ``layout`` must be ``self.layout(values)`` if given."""
+        values = np.asarray(values)
+        if layout is None:
+            layout = self.layout(values)
+        blocks = layout.blocks
         enc = EncodedColumn(
             codec=self.name,
-            count=n,
+            count=values.size,
             arrays={
-                "header": header,
-                "block_starts": block_starts,
-                "first_values": first_values.astype(np.int32),
-                "data": data,
+                "header": layout.header,
+                "block_starts": blocks.block_starts,
+                "first_values": layout.first_values,
+                "data": blocks.pack(),
             },
-            meta={"d_blocks": self._d_blocks, "mean_bits": float(bits.mean()) if bits.size else 0.0},
+            meta={"d_blocks": self._d_blocks, "mean_bits": blocks.mean_bits},
             dtype=values.dtype,
         )
-        self.attach_tile_checksums(enc, v[:n])
+        self.attach_tile_checksums(enc, values.astype(np.int64, copy=False))
         return enc
 
     def decode(self, enc: EncodedColumn) -> np.ndarray:

@@ -21,6 +21,8 @@ blocks (``d_blocks``, the paper's only hyperparameter, default 4).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.formats import bitio
@@ -87,78 +89,127 @@ def _pad_to_blocks(values: np.ndarray, block: int = BLOCK) -> np.ndarray:
     return np.concatenate([values, np.full(pad, values[-1], dtype=values.dtype)])
 
 
-def pack_blocks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """FOR + miniblock bit-pack ``values`` (already padded to blocks).
+@dataclass
+class BlockLayout:
+    """A :func:`pack_blocks` stream sized exactly, before any word is written.
 
-    This is the shared encoder core: GPU-FOR uses it on raw values,
-    GPU-DFOR on per-tile deltas, GPU-RFOR on run values/lengths.
+    :func:`layout_blocks` computes it from the miniblock minima and maxima
+    alone; :meth:`pack` then writes the words into exactly
+    :attr:`data_words` words, so :attr:`nbytes` is the size the packed
+    arrays will have.
+    """
 
-    Returns:
-        ``(data, block_starts, bits)`` — the packed uint32 data array, the
-        per-block word offsets (with an end sentinel, ``n_blocks + 1``
-        entries), and the per-miniblock bitwidths ``(n_blocks, 4)``.
+    #: The padded int64 stream to pack (a multiple of 128 values).
+    values: np.ndarray
+    #: Per-block FOR references (the block minima).
+    references: np.ndarray
+    #: Per-miniblock bitwidths, ``(n_blocks, 4)``.
+    bits: np.ndarray
+    #: Per-block word offsets with end sentinel, as stored (uint32).
+    block_starts: np.ndarray
+
+    @property
+    def data_words(self) -> int:
+        return int(self.block_starts[-1])
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the packed ``data`` plus the ``block_starts`` array."""
+        return 4 * self.data_words + self.block_starts.nbytes
+
+    @property
+    def mean_bits(self) -> float:
+        return float(self.bits.mean()) if self.bits.size else 0.0
+
+    def pack(self) -> np.ndarray:
+        """Write the data words: per block the reference, the bitwidth
+        word, then each miniblock's reference-relative values."""
+        data = np.zeros(self.data_words, dtype=np.uint32)
+        n_blocks = self.bits.shape[0]
+        if n_blocks == 0:
+            return data
+        bits = self.bits
+        starts = self.block_starts[:-1].astype(np.int64)
+        data[starts] = self.references.astype(np.int32).view(np.uint32)
+        bw_words = (
+            bits[:, 0] | (bits[:, 1] << 8) | (bits[:, 2] << 16) | (bits[:, 3] << 24)
+        )
+        data[starts + 1] = bw_words.astype(np.uint32)
+
+        # Word offset of each miniblock inside the data array.
+        mini_words = np.concatenate(
+            [
+                np.zeros((n_blocks, 1), dtype=np.int64),
+                np.cumsum(bits[:, :-1], axis=1),
+            ],
+            axis=1,
+        )
+        flat_offsets = (starts[:, None] + BLOCK_HEADER_WORDS + mini_words).reshape(-1)
+        diffs = self.values.reshape(n_blocks, BLOCK) - self.references[:, None]
+        flat_minis = diffs.reshape(-1, MINIBLOCK).astype(np.uint64)
+        flat_bits = bits.reshape(-1)
+        for b in np.unique(flat_bits):
+            if b == 0:
+                continue
+            sel = np.flatnonzero(flat_bits == b)
+            packed = bitio.pack_bits(flat_minis[sel].reshape(-1), int(b))
+            dest = flat_offsets[sel][:, None] + np.arange(int(b))
+            data[dest.reshape(-1)] = packed
+        return data
+
+
+def layout_blocks(values: np.ndarray) -> BlockLayout:
+    """Validate and size a FOR + miniblock bit-pack of ``values``.
+
+    ``values`` must already be padded to whole blocks.  Raises
+    :class:`ValueError` when a reference does not fit in int32, a block's
+    value range exceeds 32 bits, or the block offsets exceed 32 bits.
     """
     values = np.asarray(values, dtype=np.int64)
     if values.size % BLOCK:
         raise ValueError(f"pack_blocks needs a multiple of {BLOCK} values")
     n_blocks = values.size // BLOCK
     if n_blocks == 0:
-        return (
-            np.zeros(0, dtype=np.uint32),
-            np.zeros(1, dtype=np.uint32),
-            np.zeros((0, MINIBLOCKS_PER_BLOCK), dtype=np.int64),
+        return BlockLayout(
+            values=values,
+            references=np.zeros(0, dtype=np.int64),
+            bits=np.zeros((0, MINIBLOCKS_PER_BLOCK), dtype=np.int64),
+            block_starts=np.zeros(1, dtype=np.uint32),
         )
 
-    blocks = values.reshape(n_blocks, BLOCK)
-    references = blocks.min(axis=1)
+    minis = values.reshape(n_blocks, MINIBLOCKS_PER_BLOCK, MINIBLOCK)
+    mini_max = minis.max(axis=2)
+    references = minis.min(axis=2).min(axis=1)
     if not -(2**31) <= int(references.min()) <= int(references.max()) < 2**31:
         # The format stores one 32-bit reference word per block (Figure 3);
-        # a wider reference would silently wrap on the astype below.
+        # a wider reference would silently wrap on the astype in pack().
         raise ValueError("block references do not fit in int32")
-    diffs = blocks - references[:, None]
-    if int(diffs.max()) >= 2**32:
+    # reference + 2**32 cannot overflow, unlike mini_max - reference.
+    if bool((mini_max >= references[:, None] + 2**32).any()):
         raise ValueError("per-block value range exceeds 32 bits; cannot bit-pack")
+    bits = bit_length(mini_max - references[:, None])  # (n_blocks, 4)
 
-    minis = diffs.reshape(n_blocks, MINIBLOCKS_PER_BLOCK, MINIBLOCK)
-    bits = bit_length(minis.max(axis=2))  # (n_blocks, 4)
-
-    block_words = BLOCK_HEADER_WORDS + bits.sum(axis=1)
     block_starts = np.zeros(n_blocks + 1, dtype=np.int64)
-    np.cumsum(block_words, out=block_starts[1:])
-    total_words = int(block_starts[-1])
-
-    # Word offset of each miniblock inside the data array.
-    mini_words = np.concatenate(
-        [
-            np.zeros((n_blocks, 1), dtype=np.int64),
-            np.cumsum(bits[:, :-1], axis=1),
-        ],
-        axis=1,
-    )
-    mini_offsets = block_starts[:-1, None] + BLOCK_HEADER_WORDS + mini_words
-
-    data = np.zeros(total_words, dtype=np.uint32)
-    data[block_starts[:-1]] = references.astype(np.int32).view(np.uint32)
-    bw_words = (
-        bits[:, 0] | (bits[:, 1] << 8) | (bits[:, 2] << 16) | (bits[:, 3] << 24)
-    )
-    data[block_starts[:-1] + 1] = bw_words.astype(np.uint32)
-
-    flat_minis = minis.reshape(-1, MINIBLOCK).astype(np.uint64)
-    flat_bits = bits.reshape(-1)
-    flat_offsets = mini_offsets.reshape(-1)
-    for b in np.unique(flat_bits):
-        if b == 0:
-            continue
-        sel = np.flatnonzero(flat_bits == b)
-        packed = bitio.pack_bits(flat_minis[sel].reshape(-1), int(b))
-        packed = packed.reshape(sel.size, int(b))
-        dest = flat_offsets[sel][:, None] + np.arange(int(b))
-        data[dest.reshape(-1)] = packed.reshape(-1)
-
+    np.cumsum(BLOCK_HEADER_WORDS + bits.sum(axis=1), out=block_starts[1:])
     if int(block_starts[-1]) >= 2**32:
         raise ValueError("column too large: block start offsets exceed 32 bits")
-    return data, block_starts.astype(np.uint32), bits
+    return BlockLayout(values, references, bits, block_starts.astype(np.uint32))
+
+
+def pack_blocks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """FOR + miniblock bit-pack ``values`` (already padded to blocks).
+
+    This is the shared encoder core: GPU-FOR uses it on raw values,
+    GPU-DFOR on per-tile deltas (both through :func:`layout_blocks` and
+    :meth:`BlockLayout.pack`, so the size is known before packing).
+
+    Returns:
+        ``(data, block_starts, bits)`` — the packed uint32 data array, the
+        per-block word offsets (with an end sentinel, ``n_blocks + 1``
+        entries), and the per-miniblock bitwidths ``(n_blocks, 4)``.
+    """
+    layout = layout_blocks(values)
+    return layout.pack(), layout.block_starts, layout.bits
 
 
 def block_metadata(
@@ -367,6 +418,19 @@ def unpack_block_indices_filtered(
     return active
 
 
+@dataclass
+class ForLayout:
+    """A GPU-FOR encoding sized exactly, before any data word is written."""
+
+    header: np.ndarray
+    blocks: BlockLayout
+
+    @property
+    def nbytes(self) -> int:
+        """The encoded column's :attr:`~EncodedColumn.nbytes`."""
+        return self.header.nbytes + self.blocks.nbytes
+
+
 class GpuFor(TileCodec):
     """The paper's GPU-FOR scheme (Section 4)."""
 
@@ -380,21 +444,34 @@ class GpuFor(TileCodec):
 
     # -- ColumnCodec --------------------------------------------------------
 
-    def encode(self, values: np.ndarray) -> EncodedColumn:
+    def layout(self, values: np.ndarray) -> ForLayout:
+        """Validate ``values`` and size their encoding without packing it."""
         values = np.asarray(values)
         if values.ndim != 1:
             raise ValueError("encode expects a 1-D integer array")
-        padded = _pad_to_blocks(values.astype(np.int64))
-        data, block_starts, bits = pack_blocks(padded)
-        header = np.array([values.size, BLOCK, MINIBLOCKS_PER_BLOCK], dtype=np.uint32)
+        return ForLayout(
+            header=np.array([values.size, BLOCK, MINIBLOCKS_PER_BLOCK], dtype=np.uint32),
+            blocks=layout_blocks(_pad_to_blocks(values.astype(np.int64, copy=False))),
+        )
+
+    def encode(self, values: np.ndarray, layout: ForLayout | None = None) -> EncodedColumn:
+        """Pack ``values``; ``layout`` must be ``self.layout(values)`` if given."""
+        values = np.asarray(values)
+        if layout is None:
+            layout = self.layout(values)
+        blocks = layout.blocks
         enc = EncodedColumn(
             codec=self.name,
             count=values.size,
-            arrays={"header": header, "block_starts": block_starts, "data": data},
-            meta={"d_blocks": self._d_blocks, "mean_bits": float(bits.mean()) if bits.size else 0.0},
+            arrays={
+                "header": layout.header,
+                "block_starts": blocks.block_starts,
+                "data": blocks.pack(),
+            },
+            meta={"d_blocks": self._d_blocks, "mean_bits": blocks.mean_bits},
             dtype=values.dtype,
         )
-        self.attach_tile_checksums(enc, padded[: values.size])
+        self.attach_tile_checksums(enc, blocks.values[: values.size])
         return enc
 
     def decode(self, enc: EncodedColumn) -> np.ndarray:

@@ -17,6 +17,8 @@ input streams), which the kernel resources below reflect.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.formats.base import (
@@ -30,8 +32,9 @@ from repro.formats.base import (
     trim_tile_chunks,
 )
 from repro.formats.ragged import (
+    RaggedLayout,
     RaggedPacked,
-    pack_ragged,
+    layout_ragged,
     unpack_ragged,
     unpack_ragged_blocks,
 )
@@ -68,6 +71,27 @@ def run_length_encode(values: np.ndarray, block: int = RFOR_BLOCK):
     return run_values, run_lengths, runs_per_block
 
 
+@dataclass
+class RForLayout:
+    """A GPU-RFOR encoding sized exactly, before any data word is written."""
+
+    header: np.ndarray
+    #: Runs per block (uint32, as stored).
+    run_counts: np.ndarray
+    run_values: RaggedLayout
+    run_lengths: RaggedLayout
+
+    @property
+    def nbytes(self) -> int:
+        """The encoded column's :attr:`~EncodedColumn.nbytes`."""
+        return (
+            self.header.nbytes
+            + self.run_counts.nbytes
+            + self.run_values.nbytes
+            + self.run_lengths.nbytes
+        )
+
+
 class GpuRFor(TileCodec):
     """The paper's GPU-RFOR scheme (Section 6)."""
 
@@ -81,11 +105,12 @@ class GpuRFor(TileCodec):
 
     # -- ColumnCodec --------------------------------------------------------
 
-    def encode(self, values: np.ndarray) -> EncodedColumn:
+    def layout(self, values: np.ndarray) -> RForLayout:
+        """Validate ``values`` and size their encoding without packing it."""
         values = np.asarray(values)
         if values.ndim != 1:
             raise ValueError("encode expects a 1-D integer array")
-        v = values.astype(np.int64)
+        v = values.astype(np.int64, copy=False)
         n = v.size
         if n:
             pad = (-n) % RFOR_BLOCK
@@ -93,19 +118,27 @@ class GpuRFor(TileCodec):
                 # Padding with the last value merely extends the final run.
                 v = np.concatenate([v, np.full(pad, v[-1], dtype=np.int64)])
         run_values, run_lengths, runs_per_block = run_length_encode(v)
-        if runs_per_block.size:
-            vals_packed = pack_ragged(run_values, runs_per_block)
-            lens_packed = pack_ragged(run_lengths, runs_per_block)
-        else:
-            vals_packed = pack_ragged(run_values, runs_per_block)
-            lens_packed = pack_ragged(run_lengths, runs_per_block)
-        header = np.array([n, RFOR_BLOCK], dtype=np.uint32)
+        return RForLayout(
+            header=np.array([n, RFOR_BLOCK], dtype=np.uint32),
+            run_counts=runs_per_block.astype(np.uint32),
+            run_values=layout_ragged(run_values, runs_per_block),
+            run_lengths=layout_ragged(run_lengths, runs_per_block),
+        )
+
+    def encode(self, values: np.ndarray, layout: RForLayout | None = None) -> EncodedColumn:
+        """Pack ``values``; ``layout`` must be ``self.layout(values)`` if given."""
+        values = np.asarray(values)
+        if layout is None:
+            layout = self.layout(values)
+        vals_packed = layout.run_values.pack()
+        lens_packed = layout.run_lengths.pack()
+        n = values.size
         enc = EncodedColumn(
             codec=self.name,
             count=n,
             arrays={
-                "header": header,
-                "run_counts": runs_per_block.astype(np.uint32),
+                "header": layout.header,
+                "run_counts": layout.run_counts,
                 "values_starts": vals_packed.block_starts,
                 "values_data": vals_packed.data,
                 "lengths_starts": lens_packed.block_starts,
@@ -113,11 +146,11 @@ class GpuRFor(TileCodec):
             },
             meta={
                 "d_blocks": self._d_blocks,
-                "avg_run_length": float(n / max(1, run_values.size)),
+                "avg_run_length": float(n / max(1, layout.run_values.values.size)),
             },
             dtype=values.dtype,
         )
-        self.attach_tile_checksums(enc, v[:n])
+        self.attach_tile_checksums(enc, values.astype(np.int64, copy=False))
         return enc
 
     def _check_run_sum(

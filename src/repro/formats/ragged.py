@@ -35,16 +35,117 @@ def _pad_counts(counts: np.ndarray) -> np.ndarray:
     return np.maximum(-(-counts // MINIBLOCK), 1) * MINIBLOCK
 
 
-def pack_ragged(values: np.ndarray, counts: np.ndarray) -> RaggedPacked:
-    """FOR + bit-pack per-block value groups of varying size.
+@dataclass
+class RaggedLayout:
+    """A :func:`pack_ragged` stream sized exactly, before any word is written.
+
+    :func:`layout_ragged` computes it from per-miniblock maxima without
+    building the padded stream; :meth:`pack` writes exactly
+    :attr:`data_words` words, so :attr:`nbytes` is the packed size.
+    """
+
+    #: All blocks' values concatenated (int64, unpadded).
+    values: np.ndarray
+    #: Real value count per block (int64).
+    counts: np.ndarray
+    #: Per-block FOR references (the block minima).
+    references: np.ndarray
+    #: Per-miniblock bitwidths, every block's miniblocks concatenated.
+    bits: np.ndarray
+    #: Per-block word offsets with end sentinel, as stored (uint32).
+    block_starts: np.ndarray
+
+    @property
+    def data_words(self) -> int:
+        return int(self.block_starts[-1])
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the packed ``data`` plus the ``block_starts`` array."""
+        return 4 * self.data_words + self.block_starts.nbytes
+
+    def pack(self) -> RaggedPacked:
+        """Write the data words: per block the reference, the bitwidth
+        words, then each miniblock's reference-relative values."""
+        counts, bits, references = self.counts, self.bits, self.references
+        n_blocks = counts.size
+        data = np.zeros(self.data_words, dtype=np.uint32)
+        packed_counts = counts.astype(np.uint32)
+        if n_blocks == 0:
+            return RaggedPacked(data, self.block_starts, packed_counts)
+        block_starts = self.block_starts.astype(np.int64)
+        data[block_starts[:-1]] = references.astype(np.int32).view(np.uint32)
+
+        # The padded flat array: each block rounded up to miniblocks,
+        # padding with the block's own first value (never widens the range).
+        padded_counts = _pad_counts(counts)
+        padded_offsets = np.zeros(n_blocks + 1, dtype=np.int64)
+        np.cumsum(padded_counts, out=padded_offsets[1:])
+        value_offsets = np.zeros(n_blocks + 1, dtype=np.int64)
+        np.cumsum(counts, out=value_offsets[1:])
+        values = self.values
+        padded = np.repeat(values[value_offsets[:-1]], padded_counts)
+        dest = np.repeat(padded_offsets[:-1] - value_offsets[:-1], counts) + np.arange(
+            values.size
+        )
+        padded[dest] = values
+        padded -= np.repeat(references, padded_counts)
+        minis = padded.reshape(-1, MINIBLOCK)
+
+        minis_per_block = padded_counts // MINIBLOCK
+        mini_offsets = np.zeros(n_blocks + 1, dtype=np.int64)
+        np.cumsum(minis_per_block, out=mini_offsets[1:])
+        bw_words_per_block = -(-minis_per_block // 4)
+
+        # Bitwidth bytes, one per miniblock, padded to whole words per block.
+        bw_byte_offsets = np.zeros(n_blocks + 1, dtype=np.int64)
+        np.cumsum(bw_words_per_block * 4, out=bw_byte_offsets[1:])
+        bw_bytes = np.zeros(int(bw_byte_offsets[-1]), dtype=np.uint8)
+        mini_block_of = np.repeat(np.arange(n_blocks), minis_per_block)
+        within = np.arange(bits.size) - mini_offsets[mini_block_of]
+        bw_bytes[bw_byte_offsets[mini_block_of] + within] = bits
+        bw_as_words = bw_bytes.view("<u4").astype(np.uint32)
+        # Scatter the bw words right after each reference word.
+        bw_word_idx = np.repeat(
+            block_starts[:-1] + 1, bw_words_per_block
+        ) + (
+            np.arange(bw_as_words.size)
+            - np.repeat(bw_byte_offsets[:-1] // 4, bw_words_per_block)
+        )
+        data[bw_word_idx] = bw_as_words
+
+        # Word offset of each miniblock: block payload start + prior minis' bits.
+        c = np.cumsum(bits)
+        prior_bits = c - bits
+        block_prior = prior_bits[mini_offsets[:-1]]
+        mini_word_off = (
+            np.repeat(block_starts[:-1] + 1 + bw_words_per_block, minis_per_block)
+            + prior_bits
+            - np.repeat(block_prior, minis_per_block)
+        )
+
+        flat = minis.astype(np.uint64)
+        for b in np.unique(bits):
+            if b == 0:
+                continue
+            sel = np.flatnonzero(bits == b)
+            packed = bitio.pack_bits(flat[sel].reshape(-1), int(b))
+            dest_idx = mini_word_off[sel][:, None] + np.arange(int(b))
+            data[dest_idx.reshape(-1)] = packed
+        return RaggedPacked(data, self.block_starts, packed_counts)
+
+
+def layout_ragged(values: np.ndarray, counts: np.ndarray) -> RaggedLayout:
+    """Validate and size a FOR + bit-pack of per-block value groups.
 
     Args:
         values: all blocks' values concatenated (int64, any sign).
         counts: number of values in each block; ``sum(counts) == len(values)``.
             Every count must be at least 1.
 
-    Returns:
-        A :class:`RaggedPacked` with the block-structured stream.
+    Raises:
+        ValueError: on a bad count, a reference outside int32, a block
+            value range over 32 bits, or block offsets over 32 bits.
     """
     values = np.asarray(values, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
@@ -54,94 +155,59 @@ def pack_ragged(values: np.ndarray, counts: np.ndarray) -> RaggedPacked:
         raise ValueError("counts do not sum to len(values)")
     n_blocks = counts.size
     if n_blocks == 0:
-        return RaggedPacked(
-            data=np.zeros(0, dtype=np.uint32),
+        return RaggedLayout(
+            values=values,
+            counts=counts,
+            references=np.zeros(0, dtype=np.int64),
+            bits=np.zeros(0, dtype=np.int64),
             block_starts=np.zeros(1, dtype=np.uint32),
-            counts=counts.astype(np.uint32),
         )
 
-    block_of_value = np.repeat(np.arange(n_blocks), counts)
     value_offsets = np.zeros(n_blocks + 1, dtype=np.int64)
     np.cumsum(counts, out=value_offsets[1:])
-
     references = np.minimum.reduceat(values, value_offsets[:-1])
     if not -(2**31) <= int(references.min()) <= int(references.max()) < 2**31:
         # One 32-bit reference word per block; wider would wrap on astype.
         raise ValueError("block references do not fit in int32")
-    if int((values - references[block_of_value]).max(initial=0)) >= 2**32:
-        raise ValueError("per-block value range exceeds 32 bits; cannot bit-pack")
 
-    # Build the padded flat array: each block rounded up to miniblocks,
-    # padding with the block's own first value (never widens the range).
-    padded_counts = _pad_counts(counts)
-    padded_offsets = np.zeros(n_blocks + 1, dtype=np.int64)
-    np.cumsum(padded_counts, out=padded_offsets[1:])
-    total_padded = int(padded_offsets[-1])
-    padded = np.repeat(values[value_offsets[:-1]], padded_counts)
-    dest = np.repeat(padded_offsets[:-1] - value_offsets[:-1], counts) + np.arange(
-        values.size
-    )
-    padded[dest] = values
-    diffs = padded - np.repeat(references, padded_counts)
-
-    minis = diffs.reshape(-1, MINIBLOCK)
-    bits = bit_length(minis.max(axis=1)).astype(np.int64)
-    minis_per_block = padded_counts // MINIBLOCK
+    # Each miniblock's maximum over its real values; every miniblock holds
+    # at least one, since a block has ceil(count / 32) of them.
+    minis_per_block = _pad_counts(counts) // MINIBLOCK
     mini_offsets = np.zeros(n_blocks + 1, dtype=np.int64)
     np.cumsum(minis_per_block, out=mini_offsets[1:])
+    mini_block_of = np.repeat(np.arange(n_blocks), minis_per_block)
+    within = np.arange(mini_offsets[-1]) - mini_offsets[mini_block_of]
+    mini_max = np.maximum.reduceat(values, value_offsets[mini_block_of] + MINIBLOCK * within)
+    # A block's last, partial miniblock is padded with the block's first
+    # value (see pack), and that padding can widen the miniblock.
+    partial = counts % MINIBLOCK != 0
+    last = mini_offsets[1:][partial] - 1
+    mini_max[last] = np.maximum(mini_max[last], values[value_offsets[:-1][partial]])
 
-    bw_words_per_block = -(-minis_per_block // 4)
-    block_data_words = np.add.reduceat(bits, mini_offsets[:-1])
-    block_words = 1 + bw_words_per_block + block_data_words
+    mini_ref = references[mini_block_of]
+    # reference + 2**32 cannot overflow, unlike mini_max - reference.
+    if bool((mini_max >= mini_ref + 2**32).any()):
+        raise ValueError("per-block value range exceeds 32 bits; cannot bit-pack")
+    bits = bit_length(mini_max - mini_ref).astype(np.int64)
+
+    block_words = 1 + -(-minis_per_block // 4) + np.add.reduceat(bits, mini_offsets[:-1])
     block_starts = np.zeros(n_blocks + 1, dtype=np.int64)
     np.cumsum(block_words, out=block_starts[1:])
     if int(block_starts[-1]) >= 2**32:
         raise ValueError("column too large: block start offsets exceed 32 bits")
+    return RaggedLayout(values, counts, references, bits, block_starts.astype(np.uint32))
 
-    data = np.zeros(int(block_starts[-1]), dtype=np.uint32)
-    data[block_starts[:-1]] = references.astype(np.int32).view(np.uint32)
 
-    # Bitwidth bytes, one per miniblock, padded to whole words per block.
-    bw_byte_offsets = np.zeros(n_blocks + 1, dtype=np.int64)
-    np.cumsum(bw_words_per_block * 4, out=bw_byte_offsets[1:])
-    bw_bytes = np.zeros(int(bw_byte_offsets[-1]), dtype=np.uint8)
-    mini_block_of = np.repeat(np.arange(n_blocks), minis_per_block)
-    within = np.arange(bits.size) - mini_offsets[mini_block_of]
-    bw_bytes[bw_byte_offsets[mini_block_of] + within] = bits
-    bw_as_words = bw_bytes.view("<u4").astype(np.uint32)
-    # Scatter the bw words right after each reference word.
-    bw_word_idx = np.repeat(
-        block_starts[:-1] + 1, bw_words_per_block
-    ) + (
-        np.arange(bw_as_words.size)
-        - np.repeat(bw_byte_offsets[:-1] // 4, bw_words_per_block)
-    )
-    data[bw_word_idx] = bw_as_words
+def pack_ragged(values: np.ndarray, counts: np.ndarray) -> RaggedPacked:
+    """FOR + bit-pack per-block value groups of varying size.
 
-    # Word offset of each miniblock: block payload start + prior minis' bits.
-    c = np.cumsum(bits)
-    prior_bits = c - bits
-    block_prior = prior_bits[mini_offsets[:-1]]
-    mini_word_off = (
-        np.repeat(block_starts[:-1] + 1 + bw_words_per_block, minis_per_block)
-        + prior_bits
-        - np.repeat(block_prior, minis_per_block)
-    )
+    :func:`layout_ragged` followed by :meth:`RaggedLayout.pack`; see
+    :func:`layout_ragged` for the arguments.
 
-    flat = minis.astype(np.uint64)
-    for b in np.unique(bits):
-        if b == 0:
-            continue
-        sel = np.flatnonzero(bits == b)
-        packed = bitio.pack_bits(flat[sel].reshape(-1), int(b)).reshape(sel.size, int(b))
-        dest_idx = mini_word_off[sel][:, None] + np.arange(int(b))
-        data[dest_idx.reshape(-1)] = packed.reshape(-1)
-
-    return RaggedPacked(
-        data=data,
-        block_starts=block_starts.astype(np.uint32),
-        counts=counts.astype(np.uint32),
-    )
+    Returns:
+        A :class:`RaggedPacked` with the block-structured stream.
+    """
+    return layout_ragged(values, counts).pack()
 
 
 def unpack_ragged(
