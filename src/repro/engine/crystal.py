@@ -16,6 +16,13 @@ Three execution styles cover the paper's six systems:
   GPU-BP, which cannot pipeline decompression into the query (Section 9.4);
 * ``staged`` — the OmniSci model: one kernel per operator with row-wise
   column access and a materialized selection bitmap between operators.
+
+Every fused query is driven by one executor,
+:class:`~repro.engine.streaming.TileStreamExecutor`: a plan pass, then
+morsels over the surviving tiles, then one priced fact kernel.  Without
+``streaming`` the executor runs a single morsel spanning the whole tile
+grid on the coordinator thread.  Only staged plans call the query
+function against the engine itself.
 """
 
 from __future__ import annotations
@@ -188,19 +195,21 @@ class CrystalEngine:
         #: residents of the serving layer's ColumnPool instead of the
         #: unbounded per-engine dicts — device capacity is then enforced.
         self.pool = pool
-        #: Whether :meth:`FactPipeline.filter_pushdown` may skip tiles
-        #: from codec bounds; off, queries run the unpruned plan.
+        #: Whether a query's pushdown may skip tiles from codec bounds;
+        #: off, queries run the unpruned plan.
         self.pushdown = pushdown
-        #: Route :meth:`run` through the morsel-parallel streaming
-        #: executor (tile-chunk-at-a-time, the paper's fused shape)
-        #: instead of column-at-a-time materialization.  Answers are
-        #: bit-identical either way; only peak memory and wall clock
-        #: differ.  Ignored for staged and decompress-first systems,
-        #: which have no tile-fused plan to stream.
+        #: How :meth:`run` cuts a fused query into morsels.  On, morsels
+        #: of ``morsel_tiles`` engine tiles run on ``stream_workers``
+        #: threads and decode column chunks into per-worker arenas.  Off,
+        #: one morsel spans the whole tile grid on the coordinator thread
+        #: and loads whole-column images (cached and reused across
+        #: queries).  Answers and simulated time are bit-identical either
+        #: way; only peak memory and wall clock differ.  Staged plans
+        #: ignore it.
         self.streaming = streaming
         #: Worker threads the streaming executor runs morsels on.
         self.stream_workers = stream_workers
-        #: Engine tiles per morsel (``None`` = executor default).
+        #: Engine tiles per streaming morsel (``None`` = executor default).
         self.morsel_tiles = morsel_tiles
         # Bit-packing kernel backend (process-global: the backend layer
         # holds precompiled per-bitwidth plans, not per-engine state).
@@ -730,8 +739,18 @@ class CrystalEngine:
     # -- fact pipeline --------------------------------------------------------
 
     def pipeline(self, name: str) -> "FactPipeline":
-        """Open a fact-table pipeline for one query."""
-        return FactPipeline(self, name, staged=self._staged)
+        """Open a staged fact-table pipeline for one query.
+
+        Fused plans never run against the engine itself: :meth:`run`
+        hands their query function the executor's plan and morsel
+        proxies, so this raises for every non-staged store.
+        """
+        if not self._staged:
+            raise RuntimeError(
+                f"{self.store.system} plans are tile-fused: run them with "
+                f"engine.run(SSBQuery(...)), not engine.pipeline()"
+            )
+        return FactPipeline(self, name, staged=True)
 
     def decompress_first(self, columns: tuple[str, ...]) -> None:
         """Decompress the needed fact columns to global memory (the
@@ -775,35 +794,33 @@ class CrystalEngine:
     def uses_streaming(self) -> bool:
         """Whether :meth:`run` routes through the streaming executor.
 
-        Staged (OmniSci) plans price per-operator kernels and
-        decompress-first systems already materialized to global memory,
-        so neither has tile-fused work to stream.
+        True for every fused plan; staged (OmniSci) plans price their
+        own per-operator kernels.
         """
-        return (
-            self.streaming
-            and not self._staged
-            and self.store.system not in DECOMPRESS_FIRST_SYSTEMS
-        )
+        return not self._staged
 
     def _stream(self, query: "SSBQuery") -> dict[int, int]:
         """Run one query through the (cached) streaming executor."""
-        from repro.engine.streaming import TileStreamExecutor
+        from repro.engine.streaming import DEFAULT_MORSEL_TILES, TileStreamExecutor
 
+        if self.streaming:
+            workers = self.stream_workers
+            morsel_tiles = self.morsel_tiles
+            if morsel_tiles is None:
+                morsel_tiles = DEFAULT_MORSEL_TILES
+        else:
+            workers, morsel_tiles = 1, max(1, self.num_tiles)
         executor = self._stream_executor
         if executor is not None and (
-            executor.workers != self.stream_workers
-            or (self.morsel_tiles is not None
-                and executor.morsel_tiles != self.morsel_tiles)
+            executor.workers != workers
+            or executor.morsel_tiles != morsel_tiles
             or executor.metrics is not self.metrics
         ):
             executor.close()
             executor = None
         if executor is None:
             executor = TileStreamExecutor(
-                self,
-                workers=self.stream_workers,
-                morsel_tiles=self.morsel_tiles,
-                metrics=self.metrics,
+                self, workers=workers, morsel_tiles=morsel_tiles, metrics=self.metrics
             )
             self._stream_executor = executor
         if self.semcache is not None:
@@ -874,7 +891,7 @@ class CrystalEngine:
         self.decompress_first(query.columns)
         if self.uses_streaming():
             groups = self._stream(query)
-        else:
+        else:  # staged OmniSci plans price their own per-operator kernels
             groups = query.fn(self)
         kernels = self.device.kernel_count - kernels_before
         self._last_timeline = self.device.timeline(since=kernels_before)
@@ -937,10 +954,13 @@ class SSBQuery:
 class FactPipeline:
     """One query's sweep over the fact table.
 
-    In ``fused`` mode (Crystal) every call accumulates traffic/compute
-    into a single kernel launch priced by :meth:`finish`.  In ``staged``
-    mode (OmniSci) every operator prices its own kernel immediately, with
-    a materialized selection bitmap read and written between operators.
+    In ``staged`` mode (OmniSci) every operator prices its own kernel
+    immediately, with a materialized selection bitmap read and written
+    between operators.  In ``fused`` mode (Crystal) every call
+    accumulates traffic/compute for the single fact kernel the streaming
+    executor prices; the executor's plan and morsel pipelines subclass
+    this one and supply the fused loads (``_tile_read_bytes``,
+    ``_column_slice`` and ``_column_slice_filtered``).
     """
 
     def __init__(
@@ -955,7 +975,7 @@ class FactPipeline:
         self.name = name
         self.staged = staged
         # Default span is the whole fact table; the streaming executor's
-        # morsel pipelines cover one contiguous chunk of it instead.
+        # plan and morsel pipelines set their own.
         self.n = engine.num_rows if rows is None else rows
         num_tiles = engine.num_tiles if tiles is None else tiles
         self.mask = np.ones(self.n, dtype=bool)
@@ -974,7 +994,6 @@ class FactPipeline:
         self._extra_regs = 0
         self._decode_regs = 0
         self._smem = 0
-        self._cols_loaded = 0
         # Single-column pushdown conjuncts by column name: candidates for
         # fused decode+filter when that column is loaded.  A load that
         # fused one moves it to _fused_preds so the later exact
@@ -989,25 +1008,22 @@ class FactPipeline:
         self._check_open()
         engine = self.engine
         col = engine.store[name]
-        tile_bytes = self._tile_read_bytes(name)
-        read = int(tile_bytes[self.tile_active].sum())
-        active_rows = int(self.tile_active.sum()) * TILE
-        if self.tile_active.size and self.tile_active[-1]:
-            # The last tile holds only the tail rows, not a full TILE.
-            active_rows -= self.tile_active.size * TILE - self.n
-        self._cols_loaded += 1
-
         if self.staged:
             # OmniSci: its own kernel, full column, row-wise access.
             self._staged_kernel(
                 f"load-{name}",
-                read_bytes=int(tile_bytes.sum()),
+                read_bytes=int(engine.tile_read_bytes(name).sum()),
                 write_bytes=self.n * 4,
                 ops=self.n * OMNISCI_OP_OVERHEAD,
             )
             return col.values
 
-        self._read_bytes += read
+        tile_bytes = self._tile_read_bytes(name)
+        self._read_bytes += int(tile_bytes[self.tile_active].sum())
+        active_rows = int(self.tile_active.sum()) * TILE
+        if self.tile_active.size and self.tile_active[-1]:
+            # The last tile holds only the tail rows, not a full TILE.
+            active_rows -= self.tile_active.size * TILE - self.n
         # One snapshot decides both pricing and the value path; a hot
         # column with a pinned decoded image loads like raw storage.
         inline = engine.inline_column(col) and engine.pinned_decoded(name) is None
@@ -1061,67 +1077,28 @@ class FactPipeline:
             return values
         return self._column_slice(name)
 
-    def _tile_read_bytes(self, name: str) -> np.ndarray:
-        """Per-tile read traffic over this pipeline's span (overridable)."""
-        return self.engine.tile_read_bytes(name)
-
-    def _column_slice(self, name: str) -> np.ndarray:
-        """The decoded values :meth:`load` returns over this span."""
-        return self.engine.column_values_pruned(name, self.tile_active)
-
-    def _column_slice_filtered(
-        self, name: str, predicate: ColumnPredicate
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Fused decode+filter load over this span (overridable).
-
-        Returns ``(values, rowmask)``; a ``None`` rowmask means fusion
-        could not apply (cached image, checksummed column under active
-        verification, ...) and the caller must evaluate the predicate
-        itself on the returned values.
-        """
-        return self.engine.column_values_filtered(name, self.tile_active, predicate)
-
     def filter_pushdown(self, predicate: "ColumnPredicate | And | None") -> int:
-        """Prune tiles from codec bounds before any column is loaded.
+        """Declare the query's pushdown predicate before any column loads.
 
-        For each single-column conjunct the engine consults the column's
-        per-tile bounds (derived from codec block metadata, no decode)
-        and drops every tile the predicate provably cannot match.
-        Subsequent :meth:`load` calls then read and decode only the
-        surviving tiles — the metadata-driven tile skipping the paper's
-        tile decomposition enables.
-
-        The exact row filters must still run afterwards (bounds are
-        conservative); pruning only removes work, never rows that could
-        match.  No-op for the staged engine (row-at-a-time access has no
-        tile granularity) or when the engine was built with
-        ``pushdown=False``.
+        Pushdown prunes tiles from codec bounds, so later loads read and
+        decode only the surviving tiles.  The streaming executor's plan
+        pass runs the one bounds pass over the whole tile grid; a morsel
+        inherits the surviving set and records the single-column
+        conjuncts here, so a later load of that column can fuse the
+        filter into its decode.  The exact row filters must still run
+        afterwards (bounds are conservative).  No-op for the staged
+        engine (row-at-a-time access has no tile granularity) or when
+        the engine was built with ``pushdown=False``.
 
         Returns:
-            Number of tiles newly pruned.
+            Number of this pipeline's tiles pruned.
         """
         self._check_open()
-        preds = column_predicates(predicate)
-        if self.staged or not self.engine.pushdown or not preds:
+        if self.staged or not self.engine.pushdown:
             return 0
-        engine = self.engine
-        before = int(self.tile_active.sum())
-        for pred in preds:
+        for pred in column_predicates(predicate):
             self._pushdown_preds[pred.column] = pred
-            mins, maxs = engine.column_tile_bounds(pred.column)
-            self.tile_active &= pred.tile_may_match(mins, maxs)
-            # Zone-map metadata scan: two bound words plus one interval
-            # compare per tile per column — negligible next to the
-            # payload reads it saves.
-            self._read_bytes += engine.num_tiles * 16
-            self._compute += engine.num_tiles * 2
-        pruned = before - int(self.tile_active.sum())
-        if pruned:
-            # Late materialization leaves pruned tiles zero-filled, so
-            # their rows must be dead in the selection mask.  Sound
-            # because a pruned tile provably contains no matching row.
-            self.mask &= np.repeat(self.tile_active, TILE)[: self.n]
-        return pruned
+        return int(np.count_nonzero(~self.tile_active))
 
     def filter(self, rowmask: np.ndarray) -> None:
         """AND a row predicate into the pipeline's selection."""
@@ -1282,10 +1259,10 @@ class FactPipeline:
     ) -> dict[int, int]:
         """General grouped aggregate over live rows.
 
-        Supported ``how``: ``sum``, ``count``, ``min``, ``max``, ``avg``
-        (integer-floor average).  Traffic/compute accounting matches
-        :meth:`group_sum` — on the GPU these are all the same
-        atomic-update pattern over a small result array.
+        Supported ``how``: ``sum``, ``count``, ``min``, ``max`` — the
+        aggregates whose per-morsel partials merge exactly.  Traffic/
+        compute accounting matches :meth:`group_sum` — on the GPU these
+        are all the same atomic-update pattern over a small result array.
         """
         self._check_open()
         if how == "sum":
@@ -1294,14 +1271,12 @@ class FactPipeline:
             return self.group_sum(codes, values, num_groups)
         if how == "count":
             return self.group_sum(codes, np.ones(self.n, dtype=np.int64), num_groups)
-        if how == "avg":
-            if values is None:
-                raise ValueError("avg needs a values column")
-            sums = self.group_sum(codes, values, num_groups)
-            counts = self.group_sum(codes, np.ones(self.n, dtype=np.int64), num_groups)
-            return {c: sums.get(c, 0) // counts[c] for c in counts}
         if how not in ("min", "max"):
-            raise ValueError(f"unknown aggregate {how!r}")
+            raise ValueError(
+                f"unknown aggregate {how!r}; expected sum, count, min or max "
+                f"(avg does not merge across morsels — aggregate sum and "
+                f"count and divide client-side)"
+            )
         if values is None:
             raise ValueError(f"{how} needs a values column")
 
@@ -1335,27 +1310,14 @@ class FactPipeline:
     # -- pricing ---------------------------------------------------------------
 
     def finish(self) -> None:
-        """Price the fused fact kernel (no-op for the staged engine)."""
+        """Close the pipeline.
+
+        Staged operators priced their kernels as they ran; the fused
+        kernel is priced by the streaming executor from the plan pass
+        and the merged morsel accounting.
+        """
         self._check_open()
         self._finished = True
-        if self.staged:
-            return
-        regs = 14 + self._extra_regs + self._decode_regs
-        with self.engine.device.launch(
-            f"fact-{self.name}",
-            grid_blocks=max(1, self.engine.num_tiles),
-            block_threads=BLOCK_THREADS,
-            registers_per_thread=regs,
-            shared_mem_per_block=self._smem,
-        ) as k:
-            if self._read_bytes:
-                k.traffic.read_bytes += self._read_bytes  # already aligned
-            if self._write_bytes:
-                k.write_linear(self._write_bytes)
-            for count, eb, region in self._gathers:
-                k.read_gather(count, eb, region)
-            k.compute(self._compute + self.engine.num_tiles * 600)
-            k.shared(self._shared + self.live_count * 4)
 
     @property
     def live_count(self) -> int:

@@ -2,31 +2,32 @@
 
 The paper's central claim (Sections 3 and 7) is that decompression is a
 *device function*: a tile is decoded in shared memory and filtered,
-probed and aggregated inline, so the full column never materializes in
-global memory.  :class:`~repro.engine.crystal.CrystalEngine`'s default
-path models the kernel accounting faithfully but executes host-side the
-opposite way — ``column_values_pruned`` decodes whole columns into
-column-length intermediates before :class:`FactPipeline` filters them.
-
-This module executes the same plans tile-chunk-by-tile-chunk:
+probed and aggregated inline, so the whole query is one fused kernel.
+:class:`TileStreamExecutor` runs every such query;
+:meth:`CrystalEngine.run <repro.engine.crystal.CrystalEngine.run>` hands
+it every plan except the staged OmniSci baseline.
 
 1. A **plan pass** runs the query function once against a zero-row proxy
    pipeline.  It builds (and prices) the dimension lookups exactly once,
-   evaluates predicate pushdown against the full tile grid, and captures
-   the fused kernel's resource footprint (registers, shared memory).
-2. The surviving tiles are partitioned into contiguous **morsels** of
-   ``morsel_tiles`` engine tiles.  Each morsel re-runs the query
-   function against a morsel-scoped pipeline (lookups are replayed, so
-   dimension filters never re-run) that decodes only its own chunk of
-   each needed column — all of the chunk's live codec tiles in one
-   batched codec call, into a per-worker
-   :class:`~repro.formats.base.DecodeArena`, so steady state allocates
-   nothing — then filters, probes and accumulates partial aggregates
-   over just those rows.
+   evaluates predicate pushdown against the full tile grid (the engine's
+   only zone-map bounds pass), and captures the fused kernel's resource
+   footprint (registers, shared memory).
+2. The surviving tiles are partitioned into contiguous **morsels**.
+   Each morsel re-runs the query function against a morsel-scoped
+   pipeline (lookups are replayed, so dimension filters never re-run)
+   that loads only its own chunk of each needed column, then filters,
+   probes and accumulates partial aggregates over just those rows.  A
+   streaming engine cuts morsels of ``morsel_tiles`` engine tiles and
+   decodes each chunk's live codec tiles in one batched codec call into
+   a per-worker :class:`~repro.formats.base.DecodeArena`, so steady
+   state allocates nothing.  A non-streaming engine runs one morsel
+   spanning the whole grid, which loads the engine's whole-column
+   images (cached across queries) instead of arena chunks.
 3. Partials are merged **in deterministic morsel order** with exact
-   integer arithmetic, so answers are bit-identical to the materialized
-   path at any worker count; one fused fact kernel is then priced from
-   the merged accounting (same launch count as the materialized plan).
+   integer arithmetic, so answers are bit-identical at any morsel count
+   and worker count; one fused fact kernel is then priced from the plan
+   pass and the merged accounting (:meth:`TileStreamExecutor._price_fused_kernel`,
+   the only fused pricer).
 
 Morsels run on a ``ThreadPoolExecutor``.  A morsel's work is many small
 NumPy calls that hold the GIL for most of their run, so workers in one
@@ -105,11 +106,13 @@ class _PlanPipeline(FactPipeline):
     footprint exactly.
     """
 
-    def __init__(self, engine: CrystalEngine, name: str, plan: "_PlanEngine | None" = None):
+    def __init__(self, engine: CrystalEngine, name: str, lookups: list[tuple]):
         super().__init__(engine, name, staged=False, rows=0, tiles=0)
         #: Tiles surviving pushdown over the whole fact table.
         self.global_tile_active = np.ones(engine.num_tiles, dtype=bool)
-        self._plan = plan
+        # The plan engine's lookup list (not the plan engine itself, which
+        # holds this pipeline: no reference cycle outlives the query).
+        self._lookups = lookups
         #: Operator trace of the plan pass, excluding predicate details:
         #: loads, probes (by lookup index), raw filters and aggregates in
         #: call order.  Together with the lookup fingerprints and the
@@ -135,12 +138,9 @@ class _PlanPipeline(FactPipeline):
         return super().load(name)
 
     def probe(self, lookup: Lookup, keys: np.ndarray) -> np.ndarray:
-        idx = -1
-        if self._plan is not None:
-            for i, (_, _, built) in enumerate(self._plan.lookups):
-                if built is lookup:
-                    idx = i
-                    break
+        idx = next(
+            (i for i, (_, _, built) in enumerate(self._lookups) if built is lookup), -1
+        )
         self.trace.append(("probe", idx))
         return super().probe(lookup, keys)
 
@@ -186,19 +186,16 @@ class _PlanPipeline(FactPipeline):
             self._compute += engine.num_tiles * 2
         return before - int(self.global_tile_active.sum())
 
-    def finish(self) -> None:
-        # The executor prices one fused kernel from the merged morsel
-        # accounting after the partials are in; nothing launches here.
-        self._check_open()
-        self._finished = True
-
 
 class _MorselPipeline(FactPipeline):
     """A :class:`FactPipeline` over one morsel's rows.
 
-    Inherits the plan pass's surviving tile set, decodes column chunks
-    into the worker's arena, and records which aggregate ops ran so the
-    executor knows how to merge the partial results.
+    Inherits the plan pass's surviving tile set and records which
+    aggregate ops ran so the executor knows how to merge the partial
+    results.  On a streaming engine it decodes column chunks into the
+    worker's arena; otherwise its morsel spans the whole grid and it
+    loads the engine's column images (fresh or cached full decodes,
+    CRC-verified under ``verify_cached``).
     """
 
     def __init__(self, executor: "TileStreamExecutor", name: str, morsel: Morsel):
@@ -213,6 +210,8 @@ class _MorselPipeline(FactPipeline):
         self._morsel = morsel
         self.tile_active &= executor.tile_active[morsel.tile_lo : morsel.tile_hi]
         if not self.tile_active.all():
+            # Loads leave pruned tiles zero-filled, so their rows must be
+            # dead in the mask: sound, as no row of theirs can match.
             self.mask &= np.repeat(self.tile_active, TILE)[: self.n]
         #: Aggregate merge ops in call order ("sum", "min" or "max").
         self.agg_ops: list[str] = []
@@ -223,6 +222,8 @@ class _MorselPipeline(FactPipeline):
 
     def _column_slice(self, name: str) -> np.ndarray:
         m = self._morsel
+        if not self.engine.streaming:
+            return self.engine.column_values_pruned(name, self.tile_active)
         pinned = self.engine.pinned_decoded(name)
         if pinned is not None:
             return pinned[m.row_lo : m.row_hi]
@@ -233,28 +234,16 @@ class _MorselPipeline(FactPipeline):
             return self._executor.decode_slice(name, m, self.tile_active, col=col)
         return col.values[m.row_lo : m.row_hi]
 
-    def filter_pushdown(self, predicate) -> int:
-        # Bounds were consulted once, globally, in the plan pass; the
-        # morsel already inherited the surviving tile set in __init__.
-        # Single-column conjuncts are still recorded: a later load of
-        # that column fuses the filter into its decode.
-        self._check_open()
-        if self.engine.pushdown:
-            for pred in column_predicates(predicate):
-                self._pushdown_preds[pred.column] = pred
-        return int(np.count_nonzero(~self.tile_active))
-
     def _column_slice_filtered(self, name, predicate):
-        m = self._morsel
+        """Fused decode+filter load: ``(values, rowmask)``, or
+        ``(values, None)`` when fusion cannot apply (cached image,
+        checksummed column under active verification, ...) and the
+        caller must evaluate the predicate itself."""
+        if not self.engine.streaming:
+            return self.engine.column_values_filtered(name, self.tile_active, predicate)
         return self._executor.decode_slice(
-            name, m, self.tile_active, predicate=predicate
+            name, self._morsel, self.tile_active, predicate=predicate
         )
-
-    def finish(self) -> None:
-        # Partial pipelines never launch; the executor prices the one
-        # fused kernel from the merged accounting.
-        self._check_open()
-        self._finished = True
 
     # -- aggregate-op recording (drives the deterministic merge) ----------
 
@@ -271,14 +260,6 @@ class _MorselPipeline(FactPipeline):
         return super().total_sum_product(a, b)
 
     def group_aggregate(self, codes, values, num_groups, how="sum"):
-        if how == "avg":
-            # sum/count partials would merge fine, but the division must
-            # happen after the merge — the per-morsel quotients carry no
-            # remainders to combine.  Run avg queries materialized.
-            raise NotImplementedError(
-                "avg does not decompose into mergeable morsel partials; "
-                "run this query with streaming disabled"
-            )
         if how in ("min", "max"):
             self.agg_ops.append(how)
         # sum/count delegate to group_sum, which records itself.
@@ -336,7 +317,7 @@ class _PlanEngine:
     def pipeline(self, name: str) -> _PlanPipeline:
         if self.pipeline_obj is not None:
             raise RuntimeError("streaming supports one pipeline per query")
-        self.pipeline_obj = _PlanPipeline(self._engine, name, plan=self)
+        self.pipeline_obj = _PlanPipeline(self._engine, name, self.lookups)
         return self.pipeline_obj
 
 
@@ -764,8 +745,7 @@ class TileStreamExecutor:
         aggregate's identity ({0: 0} for total sums, {} for grouped), so
         the empty-after-pushdown case falls out for free.  Sums combine
         as Python ints (arbitrary precision — no float re-rounding), so
-        the result is independent of worker count and bit-identical to
-        the materialized single-pass answer.
+        the result is independent of worker count and morsel count.
         """
         ops = {op for agg_ops, _ in parts for op in agg_ops}
         if not ops:
@@ -794,8 +774,8 @@ class TileStreamExecutor:
         """Price the one fused fact kernel from the merged accounting.
 
         Resource footprint (registers, shared memory per block) comes
-        from the plan pipeline — it is row-count independent and matches
-        the materialized kernel exactly.  Traffic and compute sum the
+        from the plan pipeline — it is row-count independent, so every
+        morsel cut prices the same kernel.  Traffic and compute sum the
         morsels' contributions; per-call gathers merge by call index
         (every morsel runs the same call sequence, so the lists align).
         """

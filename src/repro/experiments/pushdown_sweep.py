@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 
-from repro.engine.crystal import CrystalEngine
+from repro.engine.crystal import CrystalEngine, SSBQuery
 from repro.engine.predicates import And, Range
 from repro.experiments.common import print_experiment
 from repro.ssb.dbgen import SSBDatabase, generate, sort_lineorder_by
@@ -27,35 +27,45 @@ from repro.ssb.loader import ColumnStore, load_lineorder
 #: Date-window widths (days) swept; ``None`` means the full date range.
 DEFAULT_WIDTHS = (2, 7, 30, 180, None)
 
+SCAN_COLUMNS = ("lo_orderdate", "lo_discount", "lo_quantity", "lo_extendedprice")
+
 
 def q1_style_scan(
     engine: CrystalEngine, date_lo: int, date_hi: int
 ) -> tuple[dict[int, int], dict]:
     """A flight-1-shaped scan with an explicit orderdate window.
 
-    Returns the aggregate and per-run stats (tiles, selectivity).
+    Returns the aggregate and per-run stats (tiles, selectivity) of the
+    last pipeline the plan ran: the whole-grid morsel, or the plan pass
+    when pushdown pruned every tile.
     """
     date = Range("lo_orderdate", date_lo, date_hi)
     disc = Range("lo_discount", 1, 3)
     qty = Range("lo_quantity", None, 24)
-    p = engine.pipeline("pushdown-sweep")
-    pruned = p.filter_pushdown(And((date, disc, qty)))
-    orderdate = p.load("lo_orderdate")
-    p.filter_predicate(date, orderdate)
-    discount = p.load("lo_discount")
-    p.filter_predicate(disc, discount)
-    quantity = p.load("lo_quantity")
-    p.filter_predicate(qty, quantity)
-    extendedprice = p.load("lo_extendedprice")
-    result = p.total_sum_product(extendedprice, discount)
-    stats = {
-        "tiles_total": engine.num_tiles,
-        "tiles_active": int(p.tile_active.sum()),
-        "tiles_pruned": pruned,
-        "row_selectivity": p.live_count / p.n if p.n else 0.0,
-    }
-    p.finish()
-    return result, stats
+    stats: dict = {}
+
+    def fn(eng) -> dict[int, int]:
+        p = eng.pipeline("pushdown-sweep")
+        pruned = p.filter_pushdown(And((date, disc, qty)))
+        orderdate = p.load("lo_orderdate")
+        p.filter_predicate(date, orderdate)
+        discount = p.load("lo_discount")
+        p.filter_predicate(disc, discount)
+        quantity = p.load("lo_quantity")
+        p.filter_predicate(qty, quantity)
+        extendedprice = p.load("lo_extendedprice")
+        result = p.total_sum_product(extendedprice, discount)
+        stats.update(
+            tiles_total=engine.num_tiles,
+            tiles_active=int(p.tile_active.sum()),
+            tiles_pruned=pruned,
+            row_selectivity=p.live_count / p.n if p.n else 0.0,
+        )
+        p.finish()
+        return result
+
+    result = engine.run(SSBQuery("pushdown-sweep", SCAN_COLUMNS, fn))
+    return result.groups, stats
 
 
 def _measure(

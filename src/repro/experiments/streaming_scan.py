@@ -1,11 +1,12 @@
 """Morsel-streaming vs materialized execution (`repro run streaming`).
 
-The engine's default host-side execution decodes each fact column into a
-full-length image before filtering (column-at-a-time).  The streaming
-executor runs the same fused plan the way the paper's kernels do
-(Section 3/7): contiguous tile morsels are decoded into small per-worker
-scratch buffers, filtered, probed and partially aggregated, and the
-partials merge in deterministic morsel order.
+The engine's default runs each fused plan as one morsel spanning the
+whole tile grid, which decodes each fact column into a full-length image
+before filtering (column-at-a-time).  A streaming engine cuts the same
+plan the way the paper's kernels do (Section 3/7): contiguous tile
+morsels are decoded into small per-worker scratch buffers, filtered,
+probed and partially aggregated, and the partials merge in
+deterministic morsel order.
 
 For each SSB query this driver reports both paths' wall clock and peak
 decoded-intermediate bytes, checks the answers agree bit for bit at

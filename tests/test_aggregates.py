@@ -8,27 +8,42 @@ from repro.gpusim import GPUDevice
 
 
 @pytest.fixture
-def pipeline(ssb_db, none_store):
-    engine = CrystalEngine(ssb_db, none_store, GPUDevice())
-    return engine.pipeline("agg-test"), ssb_db
+def aggregate(ssb_db, none_store, run_plan):
+    """Run ``body(p)`` on a fresh uncompressed engine; returns its groups."""
+
+    def run(body):
+        engine = CrystalEngine(ssb_db, none_store, GPUDevice())
+        return run_plan(engine, body)[0].groups
+
+    return run
+
+
+def _zeros(p):
+    return np.zeros(p.n, dtype=np.int64)
 
 
 class TestGroupAggregate:
-    def test_count_per_group(self, pipeline):
-        p, db = pipeline
-        quantity = p.load("lo_quantity")
-        codes = quantity % 5
-        result = p.group_aggregate(codes, None, 5, how="count")
+    def test_count_per_group(self, aggregate, ssb_db):
+        got = aggregate(
+            lambda p: p.group_aggregate(p.load("lo_quantity") % 5, None, 5, how="count")
+        )
+        codes = ssb_db.lineorder["lo_quantity"] % 5
         expected = {int(c): int(n) for c, n in zip(*np.unique(codes, return_counts=True))}
-        assert result == expected
+        assert got == expected
 
-    def test_min_max_match_numpy(self, pipeline):
-        p, db = pipeline
-        quantity = p.load("lo_quantity")
-        price = p.load("lo_extendedprice")
-        codes = quantity % 7
-        got_min = p.group_aggregate(codes, price, 7, how="min")
-        got_max = p.group_aggregate(codes, price, 7, how="max")
+    def test_min_max_match_numpy(self, aggregate, ssb_db):
+        def body(how):
+            def run(p):
+                quantity = p.load("lo_quantity")
+                price = p.load("lo_extendedprice")
+                return p.group_aggregate(quantity % 7, price, 7, how=how)
+
+            return run
+
+        got_min = aggregate(body("min"))
+        got_max = aggregate(body("max"))
+        codes = ssb_db.lineorder["lo_quantity"] % 7
+        price = ssb_db.lineorder["lo_extendedprice"]
         for g in range(7):
             sel = codes == g
             if not sel.any():
@@ -36,78 +51,100 @@ class TestGroupAggregate:
             assert got_min[g] == int(price[sel].min())
             assert got_max[g] == int(price[sel].max())
 
-    def test_avg_is_floor_of_mean(self, pipeline):
-        p, db = pipeline
-        quantity = p.load("lo_quantity")
-        codes = np.zeros(quantity.size, dtype=np.int64)
-        got = p.group_aggregate(codes, quantity, 1, how="avg")
-        assert got[0] == int(quantity.sum()) // quantity.size
+    def test_respects_filters(self, aggregate):
+        def body(p):
+            quantity = p.load("lo_quantity")
+            p.filter(quantity > 25)
+            return p.group_aggregate(_zeros(p), quantity, 1, how="min")
 
-    def test_respects_filters(self, pipeline):
-        p, db = pipeline
-        quantity = p.load("lo_quantity")
-        p.filter(quantity > 25)
-        codes = np.zeros(quantity.size, dtype=np.int64)
-        got = p.group_aggregate(codes, quantity, 1, how="min")
-        assert got[0] == 26
+        assert aggregate(body)[0] == 26
 
-    def test_sum_delegates(self, pipeline):
-        p, db = pipeline
-        quantity = p.load("lo_quantity")
-        codes = np.zeros(quantity.size, dtype=np.int64)
-        assert (
-            p.group_aggregate(codes, quantity, 1, how="sum")
-            == p.group_sum(codes, quantity, 1)
-        )
+    def test_sum_delegates(self, aggregate):
+        def body(how):
+            def run(p):
+                quantity = p.load("lo_quantity")
+                if how is None:
+                    return p.group_sum(_zeros(p), quantity, 1)
+                return p.group_aggregate(_zeros(p), quantity, 1, how=how)
+
+            return run
+
+        assert aggregate(body("sum")) == aggregate(body(None))
 
     @pytest.mark.parametrize("live_discount", (0, None))  # sparse, dense path
     def test_group_sum_over_huge_domain_matches_dense_bincount(
-        self, pipeline, live_discount
+        self, aggregate, ssb_db, live_discount
     ):
-        p, db = pipeline
         num_groups = 1_750_000  # q4.3's group domain
+
+        def body(p):
+            if live_discount is not None:
+                p.filter(p.load("lo_discount") == live_discount)  # ~5,500 live rows
+            # 40 codes spread over the domain, tens of rows each: sums past
+            # 2**53 round in float64, so addition order shows.
+            codes = np.random.default_rng(3).integers(0, 40, p.n) * 43_749
+            weights = np.asarray(p.load("lo_extendedprice"), np.int64) * 1_000_000_007
+            weights[codes == 0] = 0  # a zero-sum group, which is dropped
+            return p.group_sum(codes, weights, num_groups)
+
+        lo = ssb_db.lineorder
+        n = lo["lo_discount"].size
+        live = np.ones(n, dtype=bool)
         if live_discount is not None:
-            p.filter(p.load("lo_discount") == live_discount)  # ~5,500 live rows
-        # 40 codes spread over the domain, tens of rows each: sums past
-        # 2**53 round in float64, so addition order shows.
-        codes = np.random.default_rng(3).integers(0, 40, p.n) * 43_749
-        weights = np.asarray(p.load("lo_extendedprice"), np.int64) * 1_000_000_007
-        weights[codes == 0] = 0  # a zero-sum group, which is dropped
+            live = lo["lo_discount"] == live_discount
+        codes = np.random.default_rng(3).integers(0, 40, n) * 43_749
+        weights = np.asarray(lo["lo_extendedprice"], np.int64) * 1_000_000_007
+        weights[codes == 0] = 0
         dense = np.bincount(
-            codes[p.mask], weights=weights[p.mask].astype(np.float64),
+            codes[live], weights=weights[live].astype(np.float64),
             minlength=num_groups,
         )
         expected = {int(c): int(dense[c]) for c in np.flatnonzero(dense)}
-        assert 0 < len(expected) < p.live_count
-        assert p.group_sum(codes, weights, num_groups) == expected
+        assert 0 < len(expected) < int(live.sum())
+        assert aggregate(body) == expected
 
-    def test_empty_selection(self, pipeline):
-        p, db = pipeline
-        quantity = p.load("lo_quantity")
-        p.filter(quantity > 10**9)
-        got = p.group_aggregate(np.zeros(quantity.size, np.int64), quantity, 1, "max")
-        assert got == {}
+    def test_empty_selection(self, aggregate):
+        def body(p):
+            quantity = p.load("lo_quantity")
+            p.filter(quantity > 10**9)
+            return p.group_aggregate(_zeros(p), quantity, 1, "max")
 
-    def test_validation(self, pipeline):
-        p, db = pipeline
-        quantity = p.load("lo_quantity")
-        codes = np.zeros(quantity.size, dtype=np.int64)
-        with pytest.raises(ValueError, match="unknown aggregate"):
-            p.group_aggregate(codes, quantity, 1, how="median")
-        for how in ("sum", "avg", "min", "max"):
+        assert aggregate(body) == {}
+
+    def test_validation(self, aggregate):
+        def body(how, values=True, offset=0, num_groups=1):
+            def run(p):
+                quantity = p.load("lo_quantity")
+                return p.group_aggregate(
+                    _zeros(p) + offset, quantity if values else None, num_groups, how=how
+                )
+
+            return run
+
+        for how in ("median", "avg"):
+            with pytest.raises(ValueError, match="unknown aggregate"):
+                aggregate(body(how))
+        for how in ("sum", "min", "max"):
             with pytest.raises(ValueError, match="needs a values"):
-                p.group_aggregate(codes, None, 1, how=how)
+                aggregate(body(how, values=False))
         with pytest.raises(ValueError, match="range"):
-            p.group_aggregate(codes + 9, quantity, 3, how="min")
-        p.filter(quantity == 1)  # few live rows: the sparse group_sum path
+            aggregate(body("min", offset=9, num_groups=3))
         for bad in (-1, 1_750_000):
-            with pytest.raises(ValueError, match="range"):
-                p.group_sum(codes + bad, quantity, 1_750_000)
 
-    def test_charged_to_fused_kernel(self, ssb_db, none_store):
+            def sparse(p, bad=bad):
+                quantity = p.load("lo_quantity")
+                p.filter(quantity == 1)  # few live rows: the sparse group_sum path
+                return p.group_sum(_zeros(p) + bad, quantity, 1_750_000)
+
+            with pytest.raises(ValueError, match="range"):
+                aggregate(sparse)
+
+    def test_charged_to_fused_kernel(self, ssb_db, none_store, run_plan):
         engine = CrystalEngine(ssb_db, none_store, GPUDevice())
-        p = engine.pipeline("t")
-        q = p.load("lo_quantity")
-        p.group_aggregate(np.zeros(q.size, np.int64), q, 1, how="max")
-        p.finish()
+
+        def body(p):
+            q = p.load("lo_quantity")
+            return p.group_aggregate(_zeros(p), q, 1, how="max")
+
+        run_plan(engine, body)
         assert engine.device.kernel_count == 1

@@ -45,84 +45,115 @@ class TestLookup:
 
 
 class TestPipeline:
-    def test_load_returns_values(self, ssb_db, none_store):
+    def test_load_returns_values(self, ssb_db, none_store, run_plan):
         engine = CrystalEngine(ssb_db, none_store, GPUDevice())
-        p = engine.pipeline("t")
-        out = p.load("lo_quantity")
-        assert np.array_equal(out, ssb_db.lineorder["lo_quantity"])
+        out = []
+        run_plan(engine, lambda p: out.append(p.load("lo_quantity")))
+        assert np.array_equal(out[-1], ssb_db.lineorder["lo_quantity"])
 
-    def test_filter_narrows_live_count(self, ssb_db, none_store):
+    def test_fused_pipeline_outside_run_raises(self, ssb_db, none_store):
         engine = CrystalEngine(ssb_db, none_store, GPUDevice())
-        p = engine.pipeline("t")
-        q = p.load("lo_quantity")
-        before = p.live_count
-        p.filter(q < 10)
-        assert p.live_count < before
+        with pytest.raises(RuntimeError, match="engine.run"):
+            engine.pipeline("t")
 
-    def test_filter_requires_full_mask(self, ssb_db, none_store):
+    def test_filter_narrows_live_count(self, ssb_db, none_store, run_plan):
         engine = CrystalEngine(ssb_db, none_store, GPUDevice())
-        p = engine.pipeline("t")
+        counts = []
+
+        def body(p):
+            q = p.load("lo_quantity")
+            before = p.live_count
+            p.filter(q < 10)
+            counts.append((before, p.live_count))
+
+        run_plan(engine, body)
+        before, after = counts[-1]
+        assert after < before
+
+    def test_filter_requires_full_mask(self, ssb_db, none_store, run_plan):
+        engine = CrystalEngine(ssb_db, none_store, GPUDevice())
         with pytest.raises(ValueError, match="every fact row"):
-            p.filter(np.array([True]))
+            run_plan(engine, lambda p: p.filter(np.array([True])))
 
-    def test_tile_skipping_reduces_traffic(self, ssb_db, none_store):
-        keys = ssb_db.lineorder["lo_orderkey"]
-        prefix = keys < np.quantile(keys, 0.01)
+    def test_tile_skipping_reduces_traffic(self, ssb_db, none_store, run_plan):
+        cutoff = np.quantile(ssb_db.lineorder["lo_orderkey"], 0.01)
 
         def run(with_filter):
             engine = CrystalEngine(ssb_db, none_store, GPUDevice())
-            p = engine.pipeline("t")
-            p.load("lo_orderkey")
+
+            def body(p):
+                keys = p.load("lo_orderkey")
+                if with_filter:
+                    # lo_orderkey is sorted: the filter deactivates most tiles.
+                    p.filter(keys < cutoff)
+                p.load("lo_quantity")
+
+            _, pipes = run_plan(engine, body)
             if with_filter:
-                # lo_orderkey is sorted: the filter deactivates most tiles.
-                p.filter(prefix)
-                assert p.tile_active.sum() < engine.num_tiles // 10
-            p.load("lo_quantity")
-            p.finish()
+                assert pipes[-1].tile_active.sum() < engine.num_tiles // 10
             return engine.device.global_bytes_moved
 
         assert run(True) < run(False) * 0.7
 
-    def test_unclustered_filter_keeps_tiles_active(self, ssb_db, none_store):
+    def test_unclustered_filter_keeps_tiles_active(self, ssb_db, none_store, run_plan):
         # The paper's point: selective filters on unclustered columns do
         # not reduce tile reads (bit-packed data lacks random access).
         engine = CrystalEngine(ssb_db, none_store, GPUDevice())
-        p = engine.pipeline("t")
-        q = p.load("lo_quantity")
-        p.filter(q == 7)  # ~2% selectivity, spread uniformly
-        assert p.tile_active.all()
 
-    def test_group_sum_respects_mask(self, ssb_db, none_store):
-        engine = CrystalEngine(ssb_db, none_store, GPUDevice())
-        p = engine.pipeline("t")
-        q = p.load("lo_quantity")
-        p.filter(q == 1)
-        codes = np.zeros(engine.num_rows, dtype=np.int64)
-        result = p.group_sum(codes, q, 1)
-        assert result[0] == int(q[q == 1].sum())
+        def body(p):
+            q = p.load("lo_quantity")
+            p.filter(q == 7)  # ~2% selectivity, spread uniformly
 
-    def test_group_sum_code_range_checked(self, ssb_db, none_store):
+        _, pipes = run_plan(engine, body)
+        assert pipes[-1].tile_active.size == engine.num_tiles
+        assert pipes[-1].tile_active.all()
+
+    def test_group_sum_respects_mask(self, ssb_db, none_store, run_plan):
         engine = CrystalEngine(ssb_db, none_store, GPUDevice())
-        p = engine.pipeline("t")
-        codes = np.full(engine.num_rows, 5, dtype=np.int64)
+
+        def body(p):
+            q = p.load("lo_quantity")
+            p.filter(q == 1)
+            return p.group_sum(np.zeros(p.n, dtype=np.int64), q, 1)
+
+        result, _ = run_plan(engine, body)
+        q = ssb_db.lineorder["lo_quantity"]
+        assert result.groups[0] == int(q[q == 1].sum())
+
+    def test_group_sum_code_range_checked(self, ssb_db, none_store, run_plan):
+        engine = CrystalEngine(ssb_db, none_store, GPUDevice())
+
+        def body(p):
+            codes = np.full(p.n, 5, dtype=np.int64)
+            return p.group_sum(codes, codes, 3)
+
         with pytest.raises(ValueError, match="range"):
-            p.group_sum(codes, codes, 3)
+            run_plan(engine, body)
 
-    def test_finish_only_once(self, ssb_db, none_store):
+    def test_finish_only_once(self, ssb_db, none_store, run_plan):
         engine = CrystalEngine(ssb_db, none_store, GPUDevice())
-        p = engine.pipeline("t")
-        p.finish()
-        with pytest.raises(RuntimeError):
+
+        def twice(p):
             p.finish()
-        with pytest.raises(RuntimeError):
+            p.finish()
+
+        def load_after(p):
+            p.finish()
             p.load("lo_quantity")
 
-    def test_fused_pipeline_is_one_kernel(self, ssb_db, none_store):
+        with pytest.raises(RuntimeError):
+            run_plan(engine, twice)
+        with pytest.raises(RuntimeError):
+            run_plan(engine, load_after)
+
+    def test_fused_pipeline_is_one_kernel(self, ssb_db, none_store, run_plan):
         engine = CrystalEngine(ssb_db, none_store, GPUDevice())
-        p = engine.pipeline("t")
-        p.load("lo_quantity")
-        p.load("lo_discount")
-        p.finish()
+
+        def body(p):
+            p.load("lo_quantity")
+            p.load("lo_discount")
+
+        run_plan(engine, body)
         assert engine.device.kernel_count == 1
 
     def test_staged_pipeline_is_kernel_per_op(self, ssb_db):
@@ -137,21 +168,19 @@ class TestPipeline:
 
 
 class TestEngineAccounting:
-    def test_compressed_scan_reads_fewer_bytes(self, ssb_db, none_store, gpu_star_store):
+    def test_compressed_scan_reads_fewer_bytes(
+        self, ssb_db, none_store, gpu_star_store, run_plan
+    ):
         def scan_bytes(store):
             engine = CrystalEngine(ssb_db, store, GPUDevice())
-            p = engine.pipeline("t")
-            p.load("lo_discount")  # 4.75 bits/int under GPU-*
-            p.finish()
+            run_plan(engine, lambda p: p.load("lo_discount"))  # 4.75 bits/int under GPU-*
             return engine.device.global_bytes_moved
 
         assert scan_bytes(gpu_star_store) < scan_bytes(none_store) / 3
 
-    def test_inline_decode_charges_compute(self, ssb_db, gpu_star_store):
+    def test_inline_decode_charges_compute(self, ssb_db, gpu_star_store, run_plan):
         engine = CrystalEngine(ssb_db, gpu_star_store, GPUDevice())
-        p = engine.pipeline("t")
-        p.load("lo_orderdate")  # GPU-RFOR: heavy decode
-        p.finish()
+        run_plan(engine, lambda p: p.load("lo_orderdate"))  # GPU-RFOR: heavy decode
         assert engine.device.launches[-1].traffic.compute_ops > engine.num_rows * 10
 
     def test_query_result_bookkeeping(self, ssb_db, none_store):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine.crystal import TILE, CrystalEngine
+from repro.engine.crystal import TILE, CrystalEngine, SSBQuery
 from repro.engine.predicates import And, Equals, InSet, Range
 from repro.formats.registry import get_codec
 from repro.serving.pool import ColumnPool
@@ -102,17 +102,26 @@ def _make_engine(columns, codec_by_col, pushdown=True, pool=None):
 
 def _scan(engine, predicate, exact_preds):
     """A minimal pushdown-filter-aggregate plan; returns all observables."""
-    p = engine.pipeline("t")
-    pruned = p.filter_pushdown(predicate)
-    for pred in exact_preds:
-        p.filter_predicate(pred, p.load(pred.column))
-    weights = p.load("lo_weight")
-    codes = p.load("lo_code")
-    total = p.total_sum(weights)
-    by_code = p.group_sum(codes, weights, 8)
-    live = int(np.flatnonzero(p.mask).size)
-    p.finish()
-    return pruned, total, by_code, live, p.mask.tobytes()
+    seen = {}
+
+    def fn(eng):
+        p = eng.pipeline("t")
+        seen["pruned"] = p.filter_pushdown(predicate)
+        for pred in exact_preds:
+            p.filter_predicate(pred, p.load(pred.column))
+        weights = p.load("lo_weight")
+        codes = p.load("lo_code")
+        seen["total"] = p.total_sum(weights)
+        seen["by_code"] = p.group_sum(codes, weights, 8)
+        seen["rows"] = np.flatnonzero(p.mask)
+        p.finish()
+        return seen["total"]
+
+    engine.run(SSBQuery("t", (), fn))
+    # The last pipeline is the whole-grid morsel, or the plan pass when
+    # pushdown pruned every tile (no morsel runs, no row is live).
+    rows = seen["rows"]
+    return seen["pruned"], seen["total"], seen["by_code"], int(rows.size), rows.tobytes()
 
 
 @pytest.mark.parametrize("codec_name", GPU_CODECS)
@@ -156,19 +165,24 @@ class TestPrunedVsUnprunedIdentical:
                 not mask.any() and r_on[1] == {0: 0}
             ), (codec_name, label)
 
-    def test_zero_selectivity_prunes_everything(self, codec_name, rng):
+    def test_zero_selectivity_prunes_everything(self, codec_name, rng, run_plan):
         columns, codecs = self._columns(rng, codec_name)
         engine = _make_engine(columns, codecs, pushdown=True)
         # Conservative maxs may overshoot the true column max (bitwidth
         # headroom), so probe strictly above the loosest bound.
         _, maxs = engine.column_tile_bounds("lo_key")
-        p = engine.pipeline("t")
-        pruned = p.filter_pushdown(Range("lo_key", int(maxs.max()) + 1, None))
-        assert pruned == engine.num_tiles
-        assert not p.tile_active.any()
-        assert not p.mask.any()
-        assert p.total_sum(p.load("lo_weight")) == {0: 0}
-        p.finish()
+        seen = {}
+
+        def body(p):
+            seen["pruned"] = p.filter_pushdown(Range("lo_key", int(maxs.max()) + 1, None))
+            return p.total_sum(p.load("lo_weight"))
+
+        result, pipes = run_plan(engine, body)
+        assert seen["pruned"] == engine.num_tiles
+        (plan,) = pipes  # every tile pruned: no morsel ran
+        assert not plan.global_tile_active.any()
+        assert not plan.mask.any()
+        assert result.groups == {0: 0}
 
 
 class TestPushdownMechanics:
@@ -187,63 +201,77 @@ class TestPushdownMechanics:
         exact = [Equals("lo_flag", 1), InSet("lo_key", (0, 1, 2, 3))]
         assert _scan(on, pred, exact)[1:] == _scan(off, pred, exact)[1:]
 
-    def test_pushdown_disabled_is_noop(self, rng):
+    def test_pushdown_disabled_is_noop(self, rng, run_plan):
         columns = {"lo_key": np.sort(rng.integers(0, 100, TILE * 2))}
         engine = _make_engine(columns, {"lo_key": "gpu-for"}, pushdown=False)
-        p = engine.pipeline("t")
-        assert p.filter_pushdown(Range("lo_key", 10_000, None)) == 0
-        assert p.tile_active.all()
+        pruned = []
+        _, pipes = run_plan(
+            engine, lambda p: pruned.append(p.filter_pushdown(Range("lo_key", 10_000, None)))
+        )
+        assert pruned == [0, 0]  # plan pass, then the whole-grid morsel
+        assert pipes[-1].tile_active.all()
 
-    def test_pruned_tiles_skip_decode_and_read_bytes(self, rng):
+    def test_pruned_tiles_skip_decode_and_read_bytes(self, rng, run_plan):
         columns = {
             "lo_key": np.arange(8 * TILE, dtype=np.int64),
             "lo_weight": rng.integers(1, 10, 8 * TILE),
         }
         codecs = {"lo_key": "gpu-dfor", "lo_weight": "gpu-for"}
         pred = Range("lo_key", 0, TILE - 1)  # first tile only
+        keys = []
+
+        def body(p, pushdown):
+            if pushdown:
+                p.filter_pushdown(pred)
+            keys.append(p.load("lo_key"))
 
         on = _make_engine(columns, codecs, pushdown=True)
-        p = on.pipeline("t")
-        p.filter_pushdown(pred)
-        assert int(p.tile_active.sum()) == 1
-        key = p.load("lo_key")
+        _, pipes = run_plan(on, lambda p: body(p, True))
+        morsel = pipes[-1]
+        assert int(morsel.tile_active.sum()) == 1
+        key = keys[-1]
         # Late materialization: surviving tile decoded, pruned tiles zero.
         assert np.array_equal(key[:TILE], columns["lo_key"][:TILE])
         assert not key[TILE:].any()
-        read_on = p._read_bytes
-        p.finish()
+        read_on = morsel._read_bytes
 
         off = _make_engine(columns, codecs, pushdown=False)
-        q = off.pipeline("t")
-        q.load("lo_key")
-        assert read_on < q._read_bytes
-        q.finish()
+        _, pipes = run_plan(off, lambda p: body(p, False))
+        assert read_on < pipes[-1]._read_bytes
 
-    def test_filter_scratch_buffer_reused(self, rng):
+    def test_filter_scratch_buffer_reused(self, rng, run_plan):
         columns = {"lo_key": rng.integers(0, 50, 2 * TILE + 7)}
         engine = _make_engine(columns, {"lo_key": "gpu-for"})
-        p = engine.pipeline("t")
-        scratch = p._pad_scratch
-        for _ in range(3):
-            p.filter(rng.random(p.n) < 0.5)
-            assert p._pad_scratch is scratch
-        # Padding rows past n never go live.
-        assert not scratch[p.n:].any()
 
-    def test_load_pricing_excludes_padding_rows(self):
+        def body(p):
+            scratch = p._pad_scratch
+            for _ in range(3):
+                p.filter(rng.random(p.n) < 0.5)
+                assert p._pad_scratch is scratch
+            # Padding rows past n never go live.
+            assert not scratch[p.n:].any()
+
+        _, pipes = run_plan(engine, body)
+        assert pipes[-1].n == engine.num_rows
+
+    def test_load_pricing_excludes_padding_rows(self, run_plan):
         n = TILE + 100  # partial last tile
         columns = {"lo_key": np.arange(n, dtype=np.int64)}
         engine = _make_engine(columns, {"lo_key": "gpu-for"})
-        p = engine.pipeline("t")
-        before = p._compute
-        p.load("lo_key")
+        charged = []
+
+        def body(p):
+            before = p._compute
+            p.load("lo_key")
+            charged.append(p._compute - before)
+
+        run_plan(engine, body)
         codec = get_codec("gpu-for")
         res = codec.kernel_resources(engine.store["lo_key"].payload)
         expected = int(
             res.compute_ops_per_element * n + res.tile_prologue_ops * 2
         )
-        assert p._compute - before == expected
-        p.finish()
+        assert charged[-1] == expected
 
 
 class TestBoundsCaching:

@@ -6,12 +6,15 @@ Four layers of coverage:
   must agree with its allocating twin across full ranges, non-contiguous
   subsets, partial last tiles and buffer reuse, and reject undersized or
   mistyped buffers;
-* streaming vs materialized — for every GPU-* codec and a cross-flight
-  query matrix, the streaming executor must return bit-identical
-  aggregates and the same kernel count at every worker count, including
-  unaligned morsel widths and plans whose pushdown prunes every tile;
+* many morsels vs one — for every GPU-* codec and a cross-flight query
+  matrix, a streaming engine must return the same aggregates and kernel
+  count as the default engine's single whole-grid morsel at every
+  worker count, including unaligned morsel widths and plans whose
+  pushdown prunes every tile (``test_ssb_sim_golden.py`` pins the
+  default engine itself);
 * merge semantics — min/max partials merge, avg is refused, lookups are
-  built exactly once in the plan pass;
+  built exactly once in the plan pass, and a run leaves no cyclic
+  garbage;
 * concurrency — the engine's metadata/decode caches and the serving
   pool survive a multi-threaded access storm, and the ``QueryServer``
   records streaming metrics.
@@ -19,6 +22,7 @@ Four layers of coverage:
 
 from __future__ import annotations
 
+import gc
 import threading
 from collections import Counter
 
@@ -379,11 +383,27 @@ class TestMergeSemantics:
             return result
 
         query = SSBQuery("avg", ("lo_quantity",), fn)
-        engine = CrystalEngine(ssb_db, gpu_star_store, streaming=True)
-        with pytest.raises(NotImplementedError):
+        # avg partials cannot merge across morsels: every engine refuses
+        # it the same way, with the sum-and-count advice.
+        for streaming in (False, True):
+            engine = CrystalEngine(ssb_db, gpu_star_store, streaming=streaming)
+            with pytest.raises(ValueError, match="unknown aggregate 'avg'.*sum and count"):
+                engine.run(query)
+
+    def test_run_leaves_no_cyclic_garbage(self, ssb_db, gpu_star_store):
+        # A plan's proxies and lookups must die with the query: a
+        # reference cycle would hold them until the cyclic GC runs.
+        query = QueryCompiler(ssb_model(), ssb_db, store=gpu_star_store).compile(
+            SSB_SPECS["q4.2"]
+        )
+        engine = CrystalEngine(ssb_db, gpu_star_store, streaming=True, stream_workers=2)
+        gc.collect()
+        gc.disable()
+        try:
             engine.run(query)
-        # The materialized path still supports it.
-        assert CrystalEngine(ssb_db, gpu_star_store).run(query).groups
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_lookups_build_once(self, ssb_db, gpu_star_store):
         engine = CrystalEngine(
@@ -435,13 +455,16 @@ class TestMergeSemantics:
             assert calls[0] == per_query, morsel_tiles
 
     def test_streaming_gating(self, ssb_db, gpu_star_store):
-        engine = CrystalEngine(ssb_db, gpu_star_store, streaming=True)
-        assert engine.uses_streaming()
-        for system in ("omnisci", "nvcomp", "planner", "gpu-bp"):
-            gated = CrystalEngine(
-                ssb_db, ColumnStore(system=system, columns={}), streaming=True
-            )
-            assert not gated.uses_streaming()
+        # Every fused plan runs through the executor, streaming or not;
+        # only the staged OmniSci baseline prices its own kernels.
+        for streaming in (False, True):
+            engine = CrystalEngine(ssb_db, gpu_star_store, streaming=streaming)
+            assert engine.uses_streaming()
+            for system in ("omnisci", "nvcomp", "planner", "gpu-bp"):
+                gated = CrystalEngine(
+                    ssb_db, ColumnStore(system=system, columns={}), streaming=streaming
+                )
+                assert gated.uses_streaming() == (system != "omnisci")
 
     def test_invalid_config_rejected(self, ssb_db, gpu_star_store):
         engine = CrystalEngine(ssb_db, gpu_star_store)
