@@ -188,9 +188,23 @@ class InSet(ColumnPredicate):
         object.__setattr__(self, "values", ordered)
 
     def row_mask(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values)
         if not self.values:
-            return np.zeros(np.asarray(values).shape, dtype=bool)
-        return np.isin(values, np.asarray(self.values, dtype=np.int64))
+            return np.zeros(values.shape, dtype=bool)
+        members = np.asarray(self.values, dtype=np.int64)
+        lo = self.values[0]
+        span = self.values[-1] - lo + 1
+        if values.dtype.kind != "i" or span > values.size:
+            return np.isin(values, members)
+        # A bool table over [lo, hi] plus one False slot at the end.
+        # Offsets outside the span clamp to -1 or ``span``, both that
+        # slot; an int64 wrap only happens far outside the span and lands
+        # on the same side of it.
+        table = np.zeros(span + 1, dtype=bool)
+        table[members - lo] = True
+        offsets = np.subtract(values, lo, dtype=np.int64)
+        np.clip(offsets, -1, span, out=offsets)
+        return table[offsets]
 
     def tile_may_match(self, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
         mins = np.asarray(mins)

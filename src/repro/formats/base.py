@@ -465,8 +465,10 @@ def trim_tile_chunks(
     keep_lens = np.asarray(keep_lens, dtype=np.int64)
     if int(chunk_lens.sum()) != values.size:
         raise ValueError("chunk lengths do not cover the decoded values")
-    if np.array_equal(chunk_lens, keep_lens):
-        return values  # nothing to trim (whole-tile chunks, full last tile)
+    if np.array_equal(chunk_lens[:-1], keep_lens[:-1]):
+        # Padding only in the tail chunk (any contiguous tile range — only
+        # the column's last tile is ever short): the values are a prefix.
+        return values[: int(keep_lens.sum())]
     within = ragged_arange(chunk_lens)
     return values[within < np.repeat(keep_lens, chunk_lens)]
 

@@ -226,14 +226,73 @@ def block_metadata(
         ``(references, bits)`` — int64 arrays of shapes ``(n_blocks,)``
         and ``(n_blocks, 4)``.
     """
-    bstarts = np.asarray(block_starts, dtype=np.int64)[:-1]
+    return _block_headers(data, np.asarray(block_starts, dtype=np.int64)[:-1])
+
+
+def _block_headers(data: np.ndarray, bstarts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(references, bits)`` of the blocks whose first words are ``bstarts``."""
     references = data[bstarts].view(np.int32).astype(np.int64)
-    bw_words = data[bstarts + 1]
-    bits = np.stack(
-        [(bw_words >> (8 * j)) & 0xFF for j in range(MINIBLOCKS_PER_BLOCK)],
-        axis=1,
-    ).astype(np.int64)
-    return references, bits
+    bw_bytes = data[bstarts + 1].astype("<u4").view(np.uint8)
+    return references, bw_bytes.reshape(-1, MINIBLOCKS_PER_BLOCK).astype(np.int64)
+
+
+def unpack_miniblocks(
+    data: np.ndarray, offsets: np.ndarray, bits: np.ndarray, minis: np.ndarray
+) -> None:
+    """Unpack 32-value miniblocks into the rows of ``minis``.
+
+    The one miniblock decode core of GPU-FOR, GPU-DFOR and GPU-RFOR:
+    miniblock ``i`` is ``bits[i]`` words starting at word ``offsets[i]``
+    of ``data``.  Each distinct width costs one word gather and one
+    unpack for all of its miniblocks, so the NumPy dispatch is paid per
+    width rather than per block; zero-width rows come back zero.
+    """
+    for b in np.flatnonzero(np.bincount(bits)):
+        sel = np.flatnonzero(bits == b)
+        if b == 0:
+            minis[sel] = 0
+            continue
+        # Row w of this view is words [w, w + b): one row gather per
+        # miniblock instead of one index per word.
+        rows = np.lib.stride_tricks.as_strided(
+            data, shape=(max(data.size - b + 1, 0), b),
+            strides=(data.strides[0],) * 2, writeable=False,
+        )
+        words = rows[offsets[sel]].reshape(-1)
+        minis[sel] = bitio.unpack_bits(words, sel.size * MINIBLOCK, int(b)).reshape(
+            sel.size, MINIBLOCK
+        )
+
+
+def _unpack_diffs(
+    data: np.ndarray, bstarts: np.ndarray, bits: np.ndarray, decoded: np.ndarray
+) -> None:
+    """Reference-relative values of the blocks at ``bstarts`` into ``decoded``.
+
+    ``decoded`` is ``(n_blocks, 128)``; a block whose ``bits`` row is all
+    zero decodes to zeros without touching its payload.
+    """
+    n = bstarts.size
+    flat_bits = bits.reshape(-1)
+    # Regular-geometry fast path: when every miniblock in the batch shares
+    # one bitwidth and the selected blocks are physically consecutive,
+    # the payloads are equal word-aligned chunks at a constant stride and
+    # the whole batch unpacks as one contiguous stream — no per-miniblock
+    # word gather (which otherwise dominates the decode profile).
+    b0 = int(flat_bits[0])
+    if b0 and bool((flat_bits == b0).all()):
+        payload = MINIBLOCKS_PER_BLOCK * b0
+        stride = payload + BLOCK_HEADER_WORDS
+        if n == 1 or bool((np.diff(bstarts) == stride).all()):
+            bitio.unpack_bits_strided_into(
+                data, int(bstarts[0]) + BLOCK_HEADER_WORDS, n,
+                payload, stride, BLOCK, b0, decoded.reshape(-1),
+            )
+            return
+    offsets = (bstarts + BLOCK_HEADER_WORDS)[:, None] + np.cumsum(bits, axis=1) - bits
+    unpack_miniblocks(
+        data, offsets.reshape(-1), flat_bits, decoded.reshape(-1, MINIBLOCK)
+    )
 
 
 def unpack_block_indices(
@@ -246,7 +305,7 @@ def unpack_block_indices(
     """Decode an arbitrary batch of blocks packed by :func:`pack_blocks`.
 
     The batched decoder core: all selected blocks' miniblocks are
-    unpacked in one ``np.unique(bits)`` sweep, so the cost of the NumPy
+    unpacked by :func:`unpack_miniblocks`, so the cost of the NumPy
     dispatch is paid once per distinct bitwidth rather than once per
     block (or worse, once per tile).
 
@@ -268,53 +327,13 @@ def unpack_block_indices(
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     bstarts = np.asarray(block_starts, dtype=np.int64)[blocks]
-    references = data[bstarts].view(np.int32).astype(np.int64)
-    bw_words = data[bstarts + 1]
-    bits = np.stack(
-        [(bw_words >> (8 * j)) & 0xFF for j in range(MINIBLOCKS_PER_BLOCK)],
-        axis=1,
-    ).astype(np.int64)
-
-    mini_words = np.concatenate(
-        [np.zeros((n, 1), dtype=np.int64), np.cumsum(bits[:, :-1], axis=1)], axis=1
-    )
-    mini_offsets = bstarts[:, None] + BLOCK_HEADER_WORDS + mini_words
-
+    references, bits = _block_headers(data, bstarts)
     if out is None:
-        minis = np.empty((n * MINIBLOCKS_PER_BLOCK, MINIBLOCK), dtype=np.int64)
+        decoded = np.empty((n, BLOCK), dtype=np.int64)
     else:
         require_out_buffer(out, n * BLOCK)
-        minis = out[: n * BLOCK].reshape(n * MINIBLOCKS_PER_BLOCK, MINIBLOCK)
-    flat_bits = bits.reshape(-1)
-    flat_offsets = mini_offsets.reshape(-1)
-    decoded = minis.reshape(n, BLOCK)
-    # Regular-geometry fast path: when every miniblock in the batch shares
-    # one bitwidth and the selected blocks are physically consecutive,
-    # the payloads are equal word-aligned chunks at a constant stride and
-    # the whole batch unpacks as one contiguous stream — no per-miniblock
-    # word gather (which otherwise dominates the decode profile).
-    b0 = int(flat_bits[0])
-    if b0 and bool((flat_bits == b0).all()):
-        payload = MINIBLOCKS_PER_BLOCK * b0
-        stride = payload + BLOCK_HEADER_WORDS
-        if n == 1 or bool((np.diff(bstarts) == stride).all()):
-            bitio.unpack_bits_strided_into(
-                data, int(bstarts[0]) + BLOCK_HEADER_WORDS, n,
-                payload, stride, BLOCK, b0, decoded.reshape(-1),
-            )
-            if add_reference:
-                decoded += references[:, None]
-            return decoded.reshape(-1)
-    for b in np.unique(flat_bits):
-        sel = np.flatnonzero(flat_bits == b)
-        if b == 0:
-            minis[sel] = 0
-            continue
-        src = flat_offsets[sel][:, None] + np.arange(int(b))
-        words = data[src.reshape(-1)]
-        vals = bitio.unpack_bits(words, sel.size * MINIBLOCK, int(b))
-        minis[sel] = vals.reshape(sel.size, MINIBLOCK)
-
+        decoded = out[: n * BLOCK].reshape(n, BLOCK)
+    _unpack_diffs(data, bstarts, bits, decoded)
     if add_reference:
         decoded += references[:, None]
     return decoded.reshape(-1)
@@ -370,42 +389,14 @@ def unpack_block_indices_filtered(
     if n == 0:
         return np.ones(0, dtype=bool)
     bstarts = np.asarray(block_starts, dtype=np.int64)[blocks]
-    references = data[bstarts].view(np.int32).astype(np.int64)
-    bw_words = data[bstarts + 1]
-    bits = np.stack(
-        [(bw_words >> (8 * j)) & 0xFF for j in range(MINIBLOCKS_PER_BLOCK)],
-        axis=1,
-    ).astype(np.int64)
+    references, bits = _block_headers(data, bstarts)
     # Block short-circuit from the header bounds: the FOR reference is the
     # exact block minimum, and reference + 2**widest - 1 caps the maximum.
     block_hi = references + (np.int64(1) << bits.max(axis=1)) - np.int64(1)
     active = (block_hi >= lo) & (references <= hi)
     decoded = out[: n * BLOCK].reshape(n, BLOCK)
-
-    if bool(active.all()):
-        # Nothing skippable: reuse the unfiltered core (and its
-        # regular-geometry fast path) to materialize the raw diffs.
-        unpack_block_indices(data, block_starts, blocks, add_reference=False, out=out)
-    else:
-        minis = decoded.reshape(n * MINIBLOCKS_PER_BLOCK, MINIBLOCK)
-        mini_words = np.concatenate(
-            [np.zeros((n, 1), dtype=np.int64), np.cumsum(bits[:, :-1], axis=1)],
-            axis=1,
-        )
-        mini_offsets = bstarts[:, None] + BLOCK_HEADER_WORDS + mini_words
-        flat_bits = bits.reshape(-1)
-        flat_offsets = mini_offsets.reshape(-1)
-        flat_active = np.repeat(active, MINIBLOCKS_PER_BLOCK)
-        minis[np.flatnonzero(~flat_active)] = 0
-        for b in np.unique(flat_bits[flat_active]):
-            sel = np.flatnonzero(flat_active & (flat_bits == b))
-            if b == 0:
-                minis[sel] = 0
-                continue
-            src = flat_offsets[sel][:, None] + np.arange(int(b))
-            words = data[src.reshape(-1)]
-            vals = bitio.unpack_bits(words, sel.size * MINIBLOCK, int(b))
-            minis[sel] = vals.reshape(sel.size, MINIBLOCK)
+    # A skipped block decodes as zero-width: zero diffs, payload untouched.
+    _unpack_diffs(data, bstarts, bits * active[:, None], decoded)
 
     # Compare against the shifted thresholds while the values are still
     # reference-relative.  Skipped blocks hold zero diffs, and an inactive

@@ -35,7 +35,7 @@ from repro.formats.ragged import (
     RaggedLayout,
     RaggedPacked,
     layout_ragged,
-    unpack_ragged,
+    miniblock_bits,
     unpack_ragged_blocks,
 )
 
@@ -178,7 +178,7 @@ class GpuRFor(TileCodec):
             return np.zeros(0, dtype=enc.dtype)
         self.validate_for_decode(enc)
         n_blocks = self._num_blocks(enc)
-        run_values, run_lengths = self._decode_runs(enc, 0, n_blocks)
+        run_values, run_lengths = self._decode_runs(enc, np.arange(n_blocks))
         self._check_run_sum(enc, run_lengths, n_blocks, -1)
         out = np.repeat(run_values, run_lengths)
         vals = out[: enc.count]
@@ -258,7 +258,7 @@ class GpuRFor(TileCodec):
         n_blocks = self._num_blocks(enc)
         first = tile_idx * d
         last = min(first + d, n_blocks)
-        run_values, run_lengths = self._decode_runs(enc, first, last)
+        run_values, run_lengths = self._decode_runs(enc, np.arange(first, last))
         self._check_run_sum(enc, run_lengths, last - first, tile_idx)
         # The device function's expansion: Fang et al.'s four block-wide
         # steps (scan, scatter, max-scan, gather) in shared memory.
@@ -275,37 +275,8 @@ class GpuRFor(TileCodec):
         if tiles.size == 0:
             return np.zeros(0, dtype=enc.dtype)
         self.validate_for_decode(enc)
-        d = self.d_blocks(enc)
-        n_blocks = self._num_blocks(enc)
-        first = tiles * d
-        nb = np.minimum(first + d, n_blocks) - first
-        blocks = np.repeat(first, nb) + ragged_arange(nb)
-        counts = enc.arrays["run_counts"]
-        run_values, _ = unpack_ragged_blocks(
-            RaggedPacked(
-                data=enc.arrays["values_data"],
-                block_starts=enc.arrays["values_starts"],
-                counts=counts,
-            ),
-            blocks,
-        )
-        run_lengths, _ = unpack_ragged_blocks(
-            RaggedPacked(
-                data=enc.arrays["lengths_data"],
-                block_starts=enc.arrays["lengths_starts"],
-                counts=counts,
-            ),
-            blocks,
-        )
-        # Runs never cross block boundaries and each block's lengths sum
-        # to exactly RFOR_BLOCK, so one repeat expands the whole batch.
-        self._check_run_sum(enc, run_lengths, int(nb.sum()), int(tiles[0]))
-        expanded = np.repeat(run_values, run_lengths)
-        keep = (
-            np.minimum((tiles + 1) * d * RFOR_BLOCK, enc.count)
-            - tiles * d * RFOR_BLOCK
-        )
-        vals = trim_tile_chunks(expanded, nb * RFOR_BLOCK, keep)
+        run_values, run_lengths, chunks, keep = self._tile_runs(enc, tiles)
+        vals = trim_tile_chunks(np.repeat(run_values, run_lengths), chunks, keep)
         self.verify_decoded_tiles(enc, tiles, vals)
         return vals.astype(enc.dtype, copy=False)
 
@@ -349,37 +320,10 @@ class GpuRFor(TileCodec):
         if tiles.size == 0:
             return 0
         self.validate_for_decode(enc)
-        n_blocks = self._num_blocks(enc)
-        first = tiles * d
-        nb = np.minimum(first + d, n_blocks) - first
-        blocks = np.repeat(first, nb) + ragged_arange(nb)
-        counts = enc.arrays["run_counts"]
-        run_values, _ = unpack_ragged_blocks(
-            RaggedPacked(
-                data=enc.arrays["values_data"],
-                block_starts=enc.arrays["values_starts"],
-                counts=counts,
-            ),
-            blocks,
-        )
-        run_lengths, _ = unpack_ragged_blocks(
-            RaggedPacked(
-                data=enc.arrays["lengths_data"],
-                block_starts=enc.arrays["lengths_starts"],
-                counts=counts,
-            ),
-            blocks,
-        )
-        self._check_run_sum(enc, run_lengths, int(nb.sum()), int(tiles[0]))
+        run_values, run_lengths, chunks, keep = self._tile_runs(enc, tiles)
         run_mask = predicate.row_mask(run_values)
-        expanded = np.repeat(run_values, run_lengths)
-        expanded_mask = np.repeat(run_mask, run_lengths)
-        keep = (
-            np.minimum((tiles + 1) * d * RFOR_BLOCK, enc.count)
-            - tiles * d * RFOR_BLOCK
-        )
-        vals = trim_tile_chunks(expanded, nb * RFOR_BLOCK, keep)
-        kept_mask = trim_tile_chunks(expanded_mask, nb * RFOR_BLOCK, keep)
+        vals = trim_tile_chunks(np.repeat(run_values, run_lengths), chunks, keep)
+        kept_mask = trim_tile_chunks(np.repeat(run_mask, run_lengths), chunks, keep)
         self.verify_decoded_tiles(enc, tiles, vals)
         out[: vals.size] = vals
         mask[: vals.size] = kept_mask
@@ -399,23 +343,12 @@ class GpuRFor(TileCodec):
         if n_blocks == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty.copy()
-        from repro.formats.gpufor import MINIBLOCK
-
         data = enc.arrays["values_data"]
         bstarts = enc.arrays["values_starts"].astype(np.int64)[:-1]
         references = data[bstarts].view(np.int32).astype(np.int64)
-
-        # Walk the bitwidth bytes exactly as unpack_ragged_blocks does,
-        # but stop there: no payload words are touched.
-        padded_counts = np.maximum(-(-counts // MINIBLOCK), 1) * MINIBLOCK
-        minis_per_block = padded_counts // MINIBLOCK
-        mini_offsets = np.zeros(n_blocks + 1, dtype=np.int64)
-        np.cumsum(minis_per_block, out=mini_offsets[1:])
-        mini_block_of = np.repeat(np.arange(n_blocks), minis_per_block)
-        within = np.arange(int(mini_offsets[-1])) - mini_offsets[mini_block_of]
-        bw_word_idx = bstarts[mini_block_of] + 1 + within // 4
-        bits = ((data[bw_word_idx] >> ((within % 4) * 8)) & 0xFF).astype(np.int64)
-        widest = np.maximum.reduceat(bits, mini_offsets[:-1])
+        # The bitwidth bytes alone: no payload word is touched.
+        bits, _, within = miniblock_bits(data, bstarts, counts)
+        widest = np.maximum.reduceat(bits, np.flatnonzero(within == 0))
 
         block_max = references + (np.int64(1) << widest) - 1
         edges = np.arange(0, n_blocks, self.d_blocks(enc), dtype=np.int64)
@@ -467,22 +400,37 @@ class GpuRFor(TileCodec):
     # -- helpers ------------------------------------------------------------
 
     def _decode_runs(
-        self, enc: EncodedColumn, first: int, last: int
+        self, enc: EncodedColumn, blocks: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
+        """Run values and run lengths of ``blocks``, in order."""
         counts = enc.arrays["run_counts"]
-        vals_packed = RaggedPacked(
-            data=enc.arrays["values_data"],
-            block_starts=enc.arrays["values_starts"],
-            counts=counts,
+        run_values, run_lengths = (
+            unpack_ragged_blocks(
+                RaggedPacked(enc.arrays[f"{s}_data"], enc.arrays[f"{s}_starts"], counts),
+                blocks,
+            )[0]
+            for s in ("values", "lengths")
         )
-        lens_packed = RaggedPacked(
-            data=enc.arrays["lengths_data"],
-            block_starts=enc.arrays["lengths_starts"],
-            counts=counts,
-        )
-        run_values, _ = unpack_ragged(vals_packed, first, last)
-        run_lengths, _ = unpack_ragged(lens_packed, first, last)
         return run_values, run_lengths
+
+    def _tile_runs(
+        self, enc: EncodedColumn, tiles: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The checked runs of whole tiles, plus each tile's padded and
+        kept lengths for :func:`trim_tile_chunks`.
+
+        Runs never cross block boundaries and each block's lengths sum to
+        exactly ``RFOR_BLOCK``, so one ``np.repeat`` expands the batch.
+        """
+        d = self.d_blocks(enc)
+        first = tiles * d
+        nb = np.minimum(first + d, self._num_blocks(enc)) - first
+        run_values, run_lengths = self._decode_runs(
+            enc, np.repeat(first, nb) + ragged_arange(nb)
+        )
+        self._check_run_sum(enc, run_lengths, int(nb.sum()), int(tiles[0]))
+        keep = np.minimum((tiles + 1) * d * RFOR_BLOCK, enc.count) - first * RFOR_BLOCK
+        return run_values, run_lengths, nb * RFOR_BLOCK, keep
 
     def _num_blocks(self, enc: EncodedColumn) -> int:
         return enc.arrays["run_counts"].size

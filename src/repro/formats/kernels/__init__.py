@@ -5,11 +5,12 @@ actual pack/unpack work to one of the backends registered here:
 
 * ``numpy`` — the original phase-loop implementation, kept verbatim as
   the bit-identity oracle (:mod:`repro.formats.kernels.numpy_ref`).
-* ``shift-table`` — the default: per-bitwidth phase plans for all 32
-  bitwidths are precomputed once at import, and byte-aligned widths
-  (1/2/4/8/16/32 on little-endian hosts) take dtype-view fast paths
-  that skip the 64-bit window machinery entirely
-  (:mod:`repro.formats.kernels.shift_table`).
+* ``shift-table`` — the default: every width unpacks as one phase
+  matrix (one fancy index plus a broadcast shift and mask over 8-value
+  byte groups, plans for all 32 bitwidths precomputed at import, in
+  bounded slabs), and byte-aligned widths (1/2/4/8/16/32 on
+  little-endian hosts) take dtype-view fast paths that skip the window
+  machinery entirely (:mod:`repro.formats.kernels.shift_table`).
 * ``numba`` — an optional JIT backend compiled on first use; selecting
   it without numba installed falls back to ``shift-table`` with a
   warning (:mod:`repro.formats.kernels.numba_jit`).

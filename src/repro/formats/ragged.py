@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.formats import bitio
-from repro.formats.gpufor import MINIBLOCK, bit_length
+from repro.formats.base import ragged_arange
+from repro.formats.gpufor import MINIBLOCK, bit_length, unpack_miniblocks
 
 
 @dataclass
@@ -234,7 +235,8 @@ def unpack_ragged_blocks(
 
     The batched decoder core behind :func:`unpack_ragged` and
     GPU-RFOR's ``decode_tiles``: every selected block's miniblocks are
-    unpacked in a single ``np.unique(bits)`` sweep.
+    unpacked by :func:`~repro.formats.gpufor.unpack_miniblocks` in one
+    sweep over the distinct widths.
 
     Args:
         blocks: block indices to decode, in output order (may repeat).
@@ -244,8 +246,7 @@ def unpack_ragged_blocks(
         concatenated, and the per-block counts (real, unpadded).
     """
     blocks = np.asarray(blocks, dtype=np.int64)
-    counts_all = packed.counts.astype(np.int64)
-    counts = counts_all[blocks]
+    counts = packed.counts.astype(np.int64)[blocks]
     n_blocks = counts.size
     if n_blocks == 0:
         return np.zeros(0, dtype=np.int64), counts
@@ -253,51 +254,39 @@ def unpack_ragged_blocks(
     bstarts = packed.block_starts.astype(np.int64)[blocks]
     data = packed.data
     references = data[bstarts].view(np.int32).astype(np.int64)
+    bits, block_of, within = miniblock_bits(data, bstarts, counts)
 
-    padded_counts = _pad_counts(counts)
-    minis_per_block = padded_counts // MINIBLOCK
-    bw_words_per_block = -(-minis_per_block // 4)
-    mini_offsets = np.zeros(n_blocks + 1, dtype=np.int64)
-    np.cumsum(minis_per_block, out=mini_offsets[1:])
-    total_minis = int(mini_offsets[-1])
-    mini_block_of = np.repeat(np.arange(n_blocks), minis_per_block)
+    # Payload word of each miniblock: its block's payload start (after
+    # the reference and the bitwidth words) plus the widths of the
+    # block's earlier miniblocks.
+    prior = np.cumsum(bits) - bits
+    payload = bstarts + 1 - (-_pad_counts(counts) // (4 * MINIBLOCK))
+    offsets = payload[block_of] + prior - prior[np.arange(bits.size) - within]
+    minis = np.empty((bits.size, MINIBLOCK), dtype=np.int64)
+    unpack_miniblocks(data, offsets, bits, minis)
 
-    # Gather bitwidth bytes per miniblock.
-    within = np.arange(total_minis) - mini_offsets[mini_block_of]
-    bw_word_idx = bstarts[mini_block_of] + 1 + within // 4
-    bits = ((data[bw_word_idx] >> ((within % 4) * 8)) & 0xFF).astype(np.int64)
-
-    c = np.cumsum(bits)
-    prior_bits = c - bits
-    block_prior = prior_bits[mini_offsets[:-1]]
-    mini_word_off = (
-        (bstarts + 1 + bw_words_per_block)[mini_block_of]
-        + prior_bits
-        - block_prior[mini_block_of]
-    )
-
-    out = np.empty((total_minis, MINIBLOCK), dtype=np.int64)
-    for b in np.unique(bits):
-        sel = np.flatnonzero(bits == b)
-        if b == 0:
-            out[sel] = 0
-            continue
-        src = mini_word_off[sel][:, None] + np.arange(int(b))
-        words = data[src.reshape(-1)]
-        vals = bitio.unpack_bits(words, sel.size * MINIBLOCK, int(b))
-        out[sel] = vals.reshape(sel.size, MINIBLOCK).astype(np.int64)
-
-    padded_values = out.reshape(-1) + np.repeat(references, padded_counts)
-    # Drop per-block padding.
-    padded_offsets = np.zeros(n_blocks + 1, dtype=np.int64)
-    np.cumsum(padded_counts, out=padded_offsets[1:])
-    keep = np.repeat(padded_offsets[:-1], counts) + _within_block_index(counts)
-    return padded_values[keep], counts
+    minis += references[block_of][:, None]
+    # Each row keeps its block's values still left at the row's start;
+    # only a block's last miniblock holds padding.
+    left = counts[block_of] - MINIBLOCK * within
+    return minis[np.arange(MINIBLOCK) < left[:, None]], counts
 
 
-def _within_block_index(counts: np.ndarray) -> np.ndarray:
-    """``[0..counts[0]), [0..counts[1]), ...`` concatenated."""
-    total = int(counts.sum())
-    offsets = np.zeros(counts.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    return np.arange(total) - np.repeat(offsets, counts)
+def miniblock_bits(
+    data: np.ndarray, bstarts: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read the bitwidth byte of every miniblock of the blocks at ``bstarts``.
+
+    Args:
+        bstarts: word offset of each block in ``data``.
+        counts: real value count of each block.
+
+    Returns:
+        ``(bits, block_of, within)`` — per miniblock its width, its block
+        (an index into ``bstarts``) and its position in that block.
+    """
+    minis_per_block = _pad_counts(counts) // MINIBLOCK
+    block_of = np.repeat(np.arange(counts.size), minis_per_block)
+    within = ragged_arange(minis_per_block)
+    bw_words = data[bstarts[block_of] + 1 + within // 4]
+    return ((bw_words >> ((within % 4) * 8)) & 0xFF).astype(np.int64), block_of, within

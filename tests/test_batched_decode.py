@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 
 from repro.core.random_access import coalesce_tile_runs
-from repro.formats.base import ragged_arange, trim_tile_chunks
+from repro.formats.base import (
+    compact_tile_chunks_inplace,
+    ragged_arange,
+    trim_tile_chunks,
+)
 from repro.formats.registry import get_codec, is_tile_codec
 
 TILE_CODECS = ("gpu-for", "gpu-dfor", "gpu-rfor", "gpu-bp", "gpu-simdbp128")
@@ -155,6 +159,32 @@ class TestHelpers:
         assert np.array_equal(out, [0, 1, 4, 5, 6, 7, 8])
         with pytest.raises(ValueError):
             trim_tile_chunks(vals, np.array([4]), np.array([2]))
+
+    @staticmethod
+    def _general_trim(values, chunk_lens, keep_lens):
+        within = ragged_arange(chunk_lens)
+        return values[within < np.repeat(keep_lens, chunk_lens)]
+
+    @pytest.mark.parametrize(
+        "chunk_lens, keep_lens",
+        [
+            ([512, 512, 512], [512, 512, 100]),  # only the last chunk short
+            ([512, 512, 512], [512, 512, 512]),  # nothing short
+            ([512, 512, 512], [512, 100, 512]),  # a middle chunk short
+            ([256, 256, 256], [256, 40, 40]),  # the short tile repeats
+            ([256, 256, 256, 256], [40, 256, 256, 256]),  # out of order
+            ([256], [1]),
+        ],
+    )
+    def test_trim_tile_chunks_prefix_path(self, rng, chunk_lens, keep_lens):
+        chunk_lens = np.array(chunk_lens)
+        keep_lens = np.array(keep_lens)
+        vals = rng.integers(-1000, 1000, int(chunk_lens.sum()))
+        expect = self._general_trim(vals, chunk_lens, keep_lens)
+        assert np.array_equal(trim_tile_chunks(vals, chunk_lens, keep_lens), expect)
+        out = vals.copy()
+        kept = compact_tile_chunks_inplace(out, chunk_lens, keep_lens)
+        assert np.array_equal(out[:kept], expect)
 
     def test_coalesce_tile_runs(self):
         assert coalesce_tile_runs(np.array([0, 1, 2, 5, 6, 9])) == [

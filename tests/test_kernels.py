@@ -10,6 +10,7 @@ against the base-class oracle (full decode, then ``row_mask``) across
 the codec registry × predicate matrix.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,12 @@ from repro.formats import bitio, kernels
 from repro.formats.base import TileCodec
 from repro.formats.kernels import numba_jit
 from repro.formats.kernels.numpy_ref import NumpyBackend
-from repro.formats.kernels.shift_table import ShiftTableBackend
+from repro.formats.kernels.shift_table import (
+    _GATHER_MAX,
+    _PLANS,
+    _SLAB,
+    ShiftTableBackend,
+)
 from repro.formats.registry import get_codec
 
 GPU_CODECS = ("gpu-for", "gpu-dfor", "gpu-rfor", "gpu-bp", "gpu-simdbp128")
@@ -128,6 +134,57 @@ class TestBackendBitIdentity:
         assert not interleaved.flags["C_CONTIGUOUS"]
         out = bitio.unpack_bits(interleaved, values.size, 7)
         assert np.array_equal(out, values.astype(np.uint32))
+
+
+class TestPhaseMatrix:
+    """The shift-table backend's phase-matrix unpack at its edges."""
+
+    @staticmethod
+    def _counts(bits: int) -> list[int]:
+        # Around the small-batch threshold, and one count that is not a
+        # multiple of the width's period.
+        period = _PLANS[bits].period
+        return [
+            _GATHER_MAX - 1,
+            _GATHER_MAX,
+            _GATHER_MAX + 1,
+            period * (_GATHER_MAX // period + 3) + period // 2 + 1,
+        ]
+
+    @pytest.mark.parametrize("bits", range(1, 33))
+    def test_exact_read_only_stream(self, oracle, bits, rng):
+        # The stream ends at the last value's word: no slack for the
+        # window of the final group to read past.
+        backend = ShiftTableBackend()
+        for count in self._counts(bits):
+            values = rng.integers(0, 2**bits, count, dtype=np.uint64)
+            packed = oracle.pack(values, bits)
+            assert packed.size == bitio.words_needed(count, bits)
+            packed.setflags(write=False)
+            assert np.array_equal(backend.unpack(packed, count, bits), values), count
+            out = np.full(count + 3, -1, dtype=np.int64)
+            backend.unpack_into(packed, count, bits, out)
+            assert np.array_equal(out[:count], values.astype(np.int64)), count
+            assert (out[count:] == -1).all()
+
+    @pytest.mark.parametrize("bits", [3, 6, 15, 23, 31])
+    def test_unpack_into_temporaries_bounded(self, oracle, bits, rng):
+        # Temporaries stay within three slabs of windows, far below one
+        # full-length uint64 array (8 MB at 1M values).
+        count = 1_000_000
+        values = rng.integers(0, 2**bits, count, dtype=np.uint64)
+        packed = oracle.pack(values, bits)
+        out = np.empty(count, dtype=np.int64)
+        backend = ShiftTableBackend()
+        backend.unpack_into(packed, count, bits, out)  # warm the tables
+        tracemalloc.start()
+        try:
+            backend.unpack_into(packed, count, bits, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, values.astype(np.int64))
+        assert peak <= 3 * _SLAB * _PLANS[bits].window.itemsize, peak
 
 
 class TestBackendSelection:

@@ -51,6 +51,39 @@ class TestRowMask:
         assert InSet("c", (3, 1)).row_mask(v).tolist() == [True, False, True, False]
         assert not InSet("c", ()).row_mask(v).any()
 
+    @pytest.mark.parametrize(
+        "members, values",
+        [
+            # negative values and members
+            ((-7, -3, 0, 2), np.arange(-20, 20)),
+            # values far outside the span on both sides, incl. int64 extremes
+            (
+                (10, 12, 15),
+                np.array([-(2**63), -5, 9, 10, 11, 12, 15, 16, 2**40, 2**63 - 1]),
+            ),
+            # empty set
+            ((), np.arange(-5, 5)),
+            # a single member
+            ((4,), np.array([3, 4, 4, 5, -4])),
+            # span larger than the input: the np.isin fallback
+            ((1, 1000), np.array([1, 2, 999, 1000, 1001])),
+        ],
+    )
+    def test_inset_lookup_table_matches_isin(self, members, values):
+        pred = InSet("c", members)
+        expect = np.isin(values, np.asarray(pred.values, dtype=np.int64))
+        assert np.array_equal(pred.row_mask(values), expect)
+        # Narrower integer inputs take the same table.
+        if values.min() >= -(2**31) and values.max() < 2**31:
+            assert np.array_equal(pred.row_mask(values.astype(np.int32)), expect)
+
+    def test_inset_lookup_table_random(self, rng):
+        values = rng.integers(-300, 300, 5000)
+        for k in (1, 2, 10, 50):
+            pred = InSet("c", tuple(rng.integers(-200, 200, k).tolist()))
+            expect = np.isin(values, np.asarray(pred.values))
+            assert np.array_equal(pred.row_mask(values), expect)
+
     def test_inset_normalizes(self):
         assert InSet("c", (5, 1, 5, 3)).values == (1, 3, 5)
 

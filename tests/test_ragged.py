@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.formats.ragged import pack_ragged, unpack_ragged
+from repro.formats import bitio
+from repro.formats.base import ragged_arange
+from repro.formats.ragged import pack_ragged, unpack_ragged, unpack_ragged_blocks
 
 
 def _roundtrip(values, counts):
@@ -80,3 +82,62 @@ class TestPackRagged:
         values = rng.integers(-(2**30), 2**30, int(counts.sum()))
         _, out, _ = _roundtrip(values, counts)
         assert np.array_equal(out, values)
+
+
+def _repeat_gather_decode(packed, blocks):
+    """Ragged decode by the per-block repeat/gather formula.
+
+    Every block's padded miniblocks are unpacked one by one, the
+    references are added with a full-length ``np.repeat`` over the padded
+    counts, and the padding is dropped with a ``keep`` index gather.
+    """
+    counts = packed.counts.astype(np.int64)[blocks]
+    if counts.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    padded_counts = np.maximum(-(-counts // 32), 1) * 32
+    diffs, references = [], []
+    for block in blocks:
+        start = int(packed.block_starts[block])
+        references.append(int(packed.data[start : start + 1].view(np.int32)[0]))
+        minis = max(-(-int(packed.counts[block]) // 32), 1)
+        bw_words = -(-minis // 4)
+        bw = packed.data[start + 1 : start + 1 + bw_words].view(np.uint8)[:minis]
+        word = start + 1 + bw_words
+        for b in bw.astype(int):
+            diffs.append(bitio.unpack_bits(packed.data[word : word + b], 32, b))
+            word += b
+    padded = np.concatenate(diffs).astype(np.int64) + np.repeat(
+        np.array(references, dtype=np.int64), padded_counts
+    )
+    padded_offsets = np.concatenate([[0], np.cumsum(padded_counts)])
+    keep = np.repeat(padded_offsets[:-1], counts) + ragged_arange(counts)
+    return padded[keep]
+
+
+class TestUnpackRaggedBlocks:
+    """The live-mask batch decode against the repeat/gather formula."""
+
+    @pytest.mark.parametrize("n_blocks", [0, 1, 31, 32, 33, 511, 512])
+    def test_batch_sizes(self, rng, n_blocks):
+        counts = rng.choice([1, 2, 31, 32, 33, 63, 64, 65, 200], size=max(n_blocks, 1))
+        values = rng.integers(-(2**20), 2**20, int(counts.sum()))
+        packed = pack_ragged(values, counts)
+        blocks = rng.integers(0, counts.size, n_blocks)  # repeats, any order
+        got, got_counts = unpack_ragged_blocks(packed, blocks)
+        assert np.array_equal(got, _repeat_gather_decode(packed, blocks))
+        assert np.array_equal(got_counts, counts[blocks])
+
+    @pytest.mark.parametrize("count", [1, 31, 32, 33, 511, 512])
+    def test_block_counts(self, rng, count):
+        # Every block holds ``count`` values: full, partial and single
+        # miniblocks, up to a whole 512-value RFOR block of runs.
+        counts = np.full(9, count)
+        values = rng.integers(0, 2**17, int(counts.sum()))
+        values[::7] = 5  # mixed miniblock widths
+        packed = pack_ragged(values, counts)
+        blocks = np.array([8, 0, 3, 3, 1])
+        got, _ = unpack_ragged_blocks(packed, blocks)
+        assert np.array_equal(got, _repeat_gather_decode(packed, blocks))
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        expect = np.concatenate([values[offsets[b] : offsets[b + 1]] for b in blocks])
+        assert np.array_equal(got, expect)
