@@ -199,7 +199,7 @@ class CrystalEngine:
         #: off, queries run the unpruned plan.
         self.pushdown = pushdown
         #: How :meth:`run` cuts a fused query into morsels.  On, morsels
-        #: of ``morsel_tiles`` engine tiles run on ``stream_workers``
+        #: sized from the surviving tiles run on ``stream_workers``
         #: threads and decode column chunks into per-worker arenas.  Off,
         #: one morsel spans the whole tile grid on the coordinator thread
         #: and loads whole-column images (cached and reused across
@@ -209,7 +209,8 @@ class CrystalEngine:
         self.streaming = streaming
         #: Worker threads the streaming executor runs morsels on.
         self.stream_workers = stream_workers
-        #: Engine tiles per streaming morsel (``None`` = executor default).
+        #: Engine tiles per streaming morsel; pins the semantic cache's
+        #: partial grid too.  ``None`` derives the width per query.
         self.morsel_tiles = morsel_tiles
         # Bit-packing kernel backend (process-global: the backend layer
         # holds precompiled per-bitwidth plans, not per-engine state).
@@ -801,13 +802,10 @@ class CrystalEngine:
 
     def _stream(self, query: "SSBQuery") -> dict[int, int]:
         """Run one query through the (cached) streaming executor."""
-        from repro.engine.streaming import DEFAULT_MORSEL_TILES, TileStreamExecutor
+        from repro.engine.streaming import TileStreamExecutor
 
         if self.streaming:
-            workers = self.stream_workers
-            morsel_tiles = self.morsel_tiles
-            if morsel_tiles is None:
-                morsel_tiles = DEFAULT_MORSEL_TILES
+            workers, morsel_tiles = self.stream_workers, self.morsel_tiles
         else:
             workers, morsel_tiles = 1, max(1, self.num_tiles)
         executor = self._stream_executor

@@ -17,10 +17,11 @@ it every plan except the staged OmniSci baseline.
    pipeline (lookups are replayed, so dimension filters never re-run)
    that loads only its own chunk of each needed column, then filters,
    probes and accumulates partial aggregates over just those rows.  A
-   streaming engine cuts morsels of ``morsel_tiles`` engine tiles and
-   decodes each chunk's live codec tiles in one batched codec call into
-   a per-worker :class:`~repro.formats.base.DecodeArena`, so steady
-   state allocates nothing.  A non-streaming engine runs one morsel
+   streaming engine sizes morsels from the surviving tiles (or cuts a
+   pinned ``morsel_tiles``) and decodes each chunk's live codec tiles in
+   one batched codec call into a per-worker
+   :class:`~repro.formats.base.DecodeArena`, so steady state allocates
+   nothing.  A non-streaming engine runs one morsel
    spanning the whole grid, which loads the engine's whole-column
    images (cached across queries) instead of arena chunks.
 3. Partials are merged **in deterministic morsel order** with exact
@@ -29,21 +30,38 @@ it every plan except the staged OmniSci baseline.
    pass and the merged accounting (:meth:`TileStreamExecutor._price_fused_kernel`,
    the only fused pricer).
 
-Morsels run on a ``ThreadPoolExecutor``.  A morsel's work is many small
-NumPy calls that hold the GIL for most of their run, so workers in one
-process mostly take turns: on a 2-vCPU host a second worker doubled each
-morsel's wall time and left the query's no faster (two single-worker
-processes side by side each kept their speed).  A morsel's cost is set
-by its rows: one codec call per column, and group partials sized by the
-live rows, not the group domain.  Only the coordinator thread ever
-touches the simulated ``GPUDevice`` (it is not thread-safe); workers do
-pure array work.
+Morsels are drained from one shared queue by the calling thread and
+``workers - 1`` pool helpers.  A morsel's work is many small NumPy calls
+that mostly hold the GIL, so threads in one process largely take turns:
+on a 2-vCPU host two workers ran q2.1's six morsels in about the wall
+time one worker took for three morsels twice their size.  A morsel
+costs a fixed part (plan and lookup replay, per-column dispatch) plus
+its rows.  At the old fixed width of 64 engine tiles the fixed part
+dominated and 2 workers ran slower than 1, so the width is derived per
+query (:meth:`TileStreamExecutor._partition`): about
+:data:`MORSELS_PER_WORKER` morsels per worker over the surviving tiles,
+at least :data:`MIN_MORSEL_TILES` each.  A morsel may span a dead gap
+between clusters of surviving tiles: its dead rows cost less than a
+second morsel's fixed part.
+
+The calling thread drains morsels too, rather than idling on futures.
+glibc gives each thread that allocates its own malloc arena and keeps
+what that arena once held, so every pool thread pins the transients of
+its widest morsel (tracemalloc: 50-60 bytes a row on SSB flights 2-4)
+for the life of the process, while the caller reuses the main heap that
+plan setup already grew.  On the ``scan-stream`` benchmark (2 workers,
+2 morsels per worker) peak RSS was 284 MB with an idle caller and two
+pool threads, 206 MB with the caller draining beside one, and 196 MB
+for fixed 64-tile morsels.  Only the coordinator thread ever touches
+the simulated ``GPUDevice`` (it is not thread-safe); morsels do pure
+array work.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -75,13 +93,29 @@ from repro.formats.base import (
 from repro.formats.registry import get_codec
 from repro.formats.validate import CorruptTileError
 
-__all__ = ["DEFAULT_MORSEL_TILES", "StreamPlan", "TileStreamExecutor"]
+__all__ = [
+    "MIN_MORSEL_TILES",
+    "MORSEL_ALIGN_TILES",
+    "MORSELS_PER_WORKER",
+    "StreamPlan",
+    "TileStreamExecutor",
+]
 
-#: Engine tiles per morsel: 64 tiles = 32768 rows, a multiple of every
-#: codec tile size (including GPU-SIMDBP128's 4096-value blocks), so
-#: morsel boundaries land on codec tile boundaries and no tile is
-#: decoded twice.
-DEFAULT_MORSEL_TILES = 64
+#: Derived morsels per worker over a query's surviving tiles.  Fewer,
+#: wider morsels pay the fixed per-morsel cost less often but hold more
+#: transient memory per worker.  ``scan-stream`` benchmark, 2 workers on
+#: a 2-vCPU host, medians of 10 seeds (fixed 64-tile morsels: 22.1
+#: ops/s at 196.5 MB peak RSS): 4 per worker 32.9 ops/s at 197.4 MB,
+#: 3 per worker 36.0 ops/s at 200.2 MB, 2 per worker 40.3 ops/s at
+#: 206.5 MB, past the benchmark's 5% memory bound.
+MORSELS_PER_WORKER = 3
+#: Floor of a derived morsel's width in engine tiles (32768 rows): below
+#: it the per-morsel fixed cost outweighs the parallelism gained.
+MIN_MORSEL_TILES = 64
+#: Derived morsel boundaries fall on multiples of this many engine tiles,
+#: counted from tile 0: 8 tiles = 4096 rows, the largest codec tile
+#: (GPU-SIMDBP128's block), so no codec tile is decoded by two morsels.
+MORSEL_ALIGN_TILES = 8
 
 
 @dataclass(frozen=True)
@@ -393,8 +427,7 @@ class TileStreamExecutor:
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        morsel_tiles = DEFAULT_MORSEL_TILES if morsel_tiles is None else morsel_tiles
-        if morsel_tiles < 1:
+        if morsel_tiles is not None and morsel_tiles < 1:
             raise ValueError(f"morsel_tiles must be >= 1, got {morsel_tiles}")
         if tile_span is not None:
             lo, hi = int(tile_span[0]), int(tile_span[1])
@@ -405,6 +438,8 @@ class TileStreamExecutor:
             tile_span = (lo, hi)
         self.engine = engine
         self.workers = workers
+        #: Pinned engine tiles per morsel, or ``None`` to derive the width
+        #: per query from the surviving tiles (see :meth:`_partition`).
         self.morsel_tiles = morsel_tiles
         self.metrics = metrics
         #: Engine-tile range ``[lo, hi)`` this executor is restricted to
@@ -543,26 +578,50 @@ class TileStreamExecutor:
             return self.tile_span
         return (0, self.engine.num_tiles)
 
-    def _partition(self, tile_active: np.ndarray) -> list[Morsel]:
-        """Contiguous fixed-width morsels; fully-pruned windows are skipped
-        wholesale (the streaming counterpart of tile skipping)."""
-        engine = self.engine
+    def _partition(
+        self, tile_active: np.ndarray, morsel_tiles: int | None = None
+    ) -> list[Morsel]:
+        """Cut the span's surviving tiles into contiguous morsels.
+
+        With a width (``morsel_tiles``, else the executor's pinned one)
+        the grid is fixed from the span start and fully-pruned windows are
+        skipped wholesale (the streaming counterpart of tile skipping).
+        Otherwise each morsel takes about ``1 / (workers *
+        MORSELS_PER_WORKER)`` of the surviving tiles, at least
+        :data:`MIN_MORSEL_TILES` of them (the last takes what is left),
+        and ends after its last one on the next multiple of
+        :data:`MORSEL_ALIGN_TILES`.
+        """
         span_lo, span_hi = self._span()
-        morsels: list[Morsel] = []
-        for tile_lo in range(span_lo, span_hi, self.morsel_tiles):
-            tile_hi = min(tile_lo + self.morsel_tiles, span_hi)
-            if not tile_active[tile_lo:tile_hi].any():
-                continue
-            morsels.append(
-                Morsel(
-                    index=len(morsels),
-                    tile_lo=tile_lo,
-                    tile_hi=tile_hi,
-                    row_lo=tile_lo * TILE,
-                    row_hi=min(tile_hi * TILE, engine.num_rows),
-                )
+        width = morsel_tiles if morsel_tiles is not None else self.morsel_tiles
+        if width is not None:
+            grid = [(lo, min(lo + width, span_hi)) for lo in range(span_lo, span_hi, width)]
+            return self._morsels([(lo, hi) for lo, hi in grid if tile_active[lo:hi].any()])
+        live = np.flatnonzero(tile_active[span_lo:span_hi]) + span_lo
+        n = live.size
+        take = max(MIN_MORSEL_TILES, -(-n // (self.workers * MORSELS_PER_WORKER)))
+        align = MORSEL_ALIGN_TILES
+        spans = []
+        i = 0
+        while i < n:
+            lo = max(span_lo, int(live[i]) // align * align)
+            hi = min(span_hi, (int(live[min(i + take, n) - 1]) // align + 1) * align)
+            spans.append((lo, hi))
+            i = int(np.searchsorted(live, hi))
+        return self._morsels(spans)
+
+    def _morsels(self, spans: list[tuple[int, int]]) -> list[Morsel]:
+        num_rows = self.engine.num_rows
+        return [
+            Morsel(
+                index=i,
+                tile_lo=lo,
+                tile_hi=hi,
+                row_lo=lo * TILE,
+                row_hi=min(hi * TILE, num_rows),
             )
-        return morsels
+            for i, (lo, hi) in enumerate(spans)
+        ]
 
     def _run_morsel(
         self, query: SSBQuery, plan: _PlanEngine, morsel: Morsel
@@ -577,8 +636,12 @@ class TileStreamExecutor:
         wall_ms = (time.perf_counter() - t0) * 1e3
         return _MorselOutcome(result, mengine.pipeline_obj, wall_ms)
 
-    def plan(self, query: SSBQuery) -> StreamPlan:
-        """Run the zero-row plan pass and derive the semantic identity."""
+    def plan(self, query: SSBQuery, morsel_tiles: int | None = None) -> StreamPlan:
+        """Run the zero-row plan pass and derive the semantic identity.
+
+        ``morsel_tiles`` pins this plan's morsel grid (the semantic cache
+        keys partials on a fixed grid); ``None`` keeps the executor's.
+        """
         engine = self.engine
         plan = _PlanEngine(engine)
         plan_result = query.fn(plan)
@@ -617,7 +680,7 @@ class TileStreamExecutor:
             ppipe=ppipe,
             plan_result=plan_result,
             tile_active=self.tile_active,
-            morsels=self._partition(self.tile_active),
+            morsels=self._partition(self.tile_active, morsel_tiles),
             base_key=base_key,
             pred_key=canonical_key(pred),
             predicates=canonical_predicates(pred),
@@ -634,36 +697,42 @@ class TileStreamExecutor:
     ) -> list[_MorselOutcome]:
         """Execute a subset of the plan's morsels; outcomes align positionally.
 
-        The subset keeps the original morsel indices, so errors still
-        surface deterministically (first in global morsel order).
+        The calling thread and up to ``workers - 1`` pool helpers pull
+        morsels from one shared queue until it is empty, so a short last
+        morsel never leaves a worker idle.  Every morsel runs even when
+        one fails, so none is still using the shared arenas when the
+        error surfaces; the error raised is the first in morsel order
+        (the subset keeps the original morsel indices), not whichever
+        thread lost the race.
         """
         query, engine_plan = plan.query, plan.engine_plan
-        pos = {m.index: i for i, m in enumerate(morsels)}
         outcomes: list[_MorselOutcome] = [None] * len(morsels)  # type: ignore[list-item]
-        if self.workers == 1 or len(morsels) <= 1:
-            for m in morsels:
-                outcomes[pos[m.index]] = self._run_morsel(query, engine_plan, m)
-        else:
-            pool = self._ensure_pool()
-            futures = [
-                (m, pool.submit(self._run_morsel, query, engine_plan, m))
-                for m in morsels
-            ]
-            # Gather every future before raising: a corrupt morsel must
-            # not leave siblings running against shared arenas, and the
-            # error surfaced must be deterministic (first in morsel
-            # order), not whichever worker lost the race.
-            errors: list[tuple[int, BaseException]] = []
-            for m, fut in futures:
+        errors: list[tuple[int, Exception]] = []
+        pending = deque(range(len(morsels)))
+
+        def drain() -> None:
+            while True:
                 try:
-                    outcomes[pos[m.index]] = fut.result()
+                    i = pending.popleft()
+                except IndexError:
+                    return
+                try:
+                    outcomes[i] = self._run_morsel(query, engine_plan, morsels[i])
                 except Exception as exc:
-                    errors.append((m.index, exc))
-            if errors:
-                if self.metrics is not None:
-                    self.metrics.inc("streaming_morsel_failures", len(errors))
-                errors.sort(key=lambda pair: pair[0])
-                raise errors[0][1]
+                    errors.append((morsels[i].index, exc))
+
+        helpers = min(self.workers, len(morsels)) - 1
+        futures = [self._ensure_pool().submit(drain) for _ in range(helpers)]
+        drain()
+        for fut in futures:
+            # The queue is empty: a helper still waiting behind another
+            # query's morsels has nothing left to run.
+            if not fut.cancel():
+                fut.result()
+        if errors:
+            if self.metrics is not None:
+                self.metrics.inc("streaming_morsel_failures", len(errors))
+            raise min(errors, key=lambda pair: pair[0])[1]
         return outcomes
 
     def publish_stats(
@@ -680,7 +749,7 @@ class TileStreamExecutor:
         self.last_stats = {
             "query": plan.query.name,
             "workers": self.workers,
-            "morsel_tiles": self.morsel_tiles,
+            "morsel_tiles": max((m.tile_hi - m.tile_lo for m in plan.morsels), default=0),
             "tiles_total": int(engine.num_tiles),
             "tiles_span": int(span_hi - span_lo),
             "tiles_active": int(np.count_nonzero(plan.tile_active)),
@@ -715,8 +784,9 @@ class TileStreamExecutor:
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
+            # The calling thread drains morsels too (see run_morsels).
             self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="morsel"
+                max_workers=self.workers - 1, thread_name_prefix="morsel"
             )
         return self._pool
 

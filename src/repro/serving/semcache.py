@@ -65,12 +65,24 @@ from repro.engine.predicates import ColumnPredicate
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.pool import ColumnPool, PoolAdmissionError
 
-__all__ = ["DEFAULT_SEMCACHE_BUDGET", "CachedPartial", "SemanticResultCache"]
+__all__ = [
+    "DEFAULT_SEMCACHE_BUDGET",
+    "PARTIAL_GRID_TILES",
+    "CachedPartial",
+    "SemanticResultCache",
+]
 
 #: Default byte budget for cached partials.  Partial aggregates are tiny
 #: (a dict of group sums per morsel), so this holds thousands of spans —
 #: the budget exists to bound pathological workloads, not typical ones.
 DEFAULT_SEMCACHE_BUDGET = 16 * 1024 * 1024
+
+#: Engine tiles per cached partial (32768 rows) unless the engine pins a
+#: ``morsel_tiles``.  Spans are the cache key, so the grid must not move
+#: with a query's surviving tiles the way the executor's own morsels do:
+#: a fixed grid lets a drill-down find its year-level donor's spans.  On
+#: SF 0.1 ``lo_orderdate``-sorted data 64 tiles hold about 130 days.
+PARTIAL_GRID_TILES = 64
 
 #: How many most-recent same-base entries a probe considers as donors.
 MAX_DONORS = 8
@@ -218,10 +230,11 @@ class SemanticResultCache:
     def _span_key(sig: str, span: tuple[int, int]) -> str:
         return f"partial/{sig}/{span[0]}-{span[1]}"
 
-    def _signature(self, engine, executor, plan) -> tuple[str, str]:
-        # The tile grid and morsel width shape the spans themselves, so
+    @staticmethod
+    def _signature(engine, grid: int, plan) -> tuple[str, str]:
+        # The tile grid and partial width shape the spans themselves, so
         # they are part of what makes partials compatible at all.
-        base_repr = repr((plan.base_key, int(engine.num_tiles), int(executor.morsel_tiles)))
+        base_repr = repr((plan.base_key, int(engine.num_tiles), int(grid)))
         return _digest((base_repr, plan.pred_key)), _digest(base_repr)
 
     @staticmethod
@@ -406,11 +419,13 @@ class SemanticResultCache:
         is bit-identical (cached partials merge through the same exact
         integer path, in the same morsel order), only the work differs.
         """
-        plan = executor.plan(query)
+        # A pinned executor width pins the partial grid too.
+        grid = executor.morsel_tiles or PARTIAL_GRID_TILES
+        plan = executor.plan(query, morsel_tiles=grid)
         for _attempt in range(MAX_EPOCH_RETRIES):
             # Re-derived each attempt: a re-plan after a racing flush may
             # change lookup fingerprints (and thus the signature).
-            sig, base_hash = self._signature(engine, executor, plan)
+            sig, base_hash = self._signature(engine, grid, plan)
             columns = self._entry_columns(plan)
             snapshot = self._epoch_snapshot(columns)
             covered = self._probe(engine, plan, sig, base_hash)
@@ -424,7 +439,7 @@ class SemanticResultCache:
                 # A flush raced us: cached partials and fresh outcomes may
                 # straddle the update.  Re-plan against the new bytes.
                 self.metrics.inc("semcache_epoch_retries")
-                plan = executor.plan(query)
+                plan = executor.plan(query, morsel_tiles=grid)
                 continue
             by_span = {
                 (m.tile_lo, m.tile_hi): o for m, o in zip(fresh, outcomes)

@@ -21,7 +21,7 @@ from repro.engine.ssb_queries import QUERIES, make_flight1, make_scan
 from repro.formats.registry import get_codec
 from repro.gpusim import GPUDevice
 from repro.serving.scheduler import QueryServer
-from repro.serving.semcache import SemanticResultCache
+from repro.serving.semcache import PARTIAL_GRID_TILES, SemanticResultCache
 from repro.ssb.dbgen import generate, sort_lineorder_by
 from repro.ssb.loader import ColumnStore, StoredColumn, load_lineorder
 
@@ -180,6 +180,34 @@ class TestExactReuse:
         stats = engine.semcache.stats()
         assert stats["semcache_hits"] == 1
         assert stats["semcache_entries"] == 1
+
+
+class TestPartialGrid:
+    def test_derived_morsels_keep_the_fixed_partial_grid(self, sorted_db, sorted_store):
+        # Spans are the cache key: whatever width the executor derives
+        # for its own morsels, cached partials sit on one fixed grid.
+        grids = {}
+        for workers in (1, 2, 8):
+            engine = _cached_engine(sorted_db, sorted_store, workers=workers)
+            engine.run(make_scan("scan-year", YEAR))
+            engine.run(QUERIES["q2.1"])  # no date filter: every grid window
+            assert engine.last_stream_stats["morsel_tiles"] == PARTIAL_GRID_TILES
+            spans = sorted(
+                {span for entry in engine.semcache._entries.values() for span in entry.spans}
+            )
+            assert spans and all(
+                lo % PARTIAL_GRID_TILES == 0
+                and hi == min(lo + PARTIAL_GRID_TILES, engine.num_tiles)
+                for lo, hi in spans
+            )
+            grids[workers] = spans
+        assert grids[1] == grids[2] == grids[8]
+
+    def test_pinned_width_pins_the_partial_grid(self, sorted_db, sorted_store):
+        engine = _cached_engine(sorted_db, sorted_store, morsel_tiles=3)
+        engine.run(make_scan("scan-year", YEAR))
+        (entry,) = engine.semcache._entries.values()
+        assert entry.spans and all(lo % 3 == 0 and hi - lo <= 3 for lo, hi in entry.spans)
 
 
 class TestDonorReuse:

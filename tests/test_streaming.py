@@ -1,6 +1,6 @@
 """Morsel-streaming execution: out-buffer decode, bit-identity, threads.
 
-Four layers of coverage:
+Five layers of coverage:
 
 * out-buffer decode contract — every tile codec's ``decode_tiles_into``
   must agree with its allocating twin across full ranges, non-contiguous
@@ -15,6 +15,11 @@ Four layers of coverage:
 * merge semantics — min/max partials merge, avg is refused, lookups are
   built exactly once in the plan pass, and a run leaves no cyclic
   garbage;
+* derived morsels and the drain loop — per-query widths cover every
+  surviving tile once on aligned boundaries and answer like the fixed
+  64-tile grid; the calling thread drains beside ``workers - 1`` pool
+  threads, and the lowest-index morsel error surfaces after every
+  morsel ran;
 * concurrency — the engine's metadata/decode caches and the serving
   pool survive a multi-threaded access storm, and the ``QueryServer``
   records streaming metrics.
@@ -23,6 +28,7 @@ Four layers of coverage:
 from __future__ import annotations
 
 import gc
+import sys
 import threading
 from collections import Counter
 
@@ -32,13 +38,19 @@ import pytest
 from repro.engine.crystal import TILE, CrystalEngine, SSBQuery
 from repro.engine.predicates import And, Equals, InSet, Range
 from repro.engine.ssb_queries import QUERIES
-from repro.engine.streaming import DEFAULT_MORSEL_TILES, TileStreamExecutor
+from repro.engine.streaming import (
+    MIN_MORSEL_TILES,
+    MORSEL_ALIGN_TILES,
+    MORSELS_PER_WORKER,
+    TileStreamExecutor,
+)
 from repro.formats.base import DecodeArena, TileCodec
 from repro.formats.registry import get_codec
 from repro.query.compiler import QueryCompiler
 from repro.query.ssb import SSB_SPECS, ssb_model
 from repro.serving.pool import ColumnPool
-from repro.ssb.loader import ColumnStore, StoredColumn
+from repro.ssb.dbgen import generate, sort_lineorder_by
+from repro.ssb.loader import ColumnStore, StoredColumn, load_lineorder
 
 GPU_CODECS = ("gpu-for", "gpu-dfor", "gpu-rfor", "gpu-bp", "gpu-simdbp128")
 MATRIX_QUERIES = ("q1.1", "q1.3", "q2.1", "q3.1", "q4.1")
@@ -158,19 +170,22 @@ def _encoded_store(db, codec_name: str, columns) -> ColumnStore:
     return ColumnStore(system="gpu-star", columns=stored)
 
 
-@pytest.fixture(scope="module", params=GPU_CODECS)
-def codec_store(request, ssb_db):
-    codec_name = request.param
+def _matrix_store(db, codec_name: str) -> ColumnStore:
     store = _encoded_store(
-        ssb_db, codec_name, _columns_for(MATRIX_QUERIES) + CHECKERBOARD_COLUMNS
+        db, codec_name, _columns_for(MATRIX_QUERIES) + CHECKERBOARD_COLUMNS
     )
     # A positional column: lets a plan select rows by engine tile.
-    rows = np.arange(ssb_db.num_lineorder_rows, dtype=np.int64)
+    rows = np.arange(db.num_lineorder_rows, dtype=np.int64)
     enc = get_codec(codec_name).encode(rows)
     store.columns["row_id"] = StoredColumn(
         "row_id", "gpu-star", rows, enc, enc.nbytes, codec_name=codec_name
     )
-    return codec_name, store
+    return store
+
+
+@pytest.fixture(scope="module", params=GPU_CODECS)
+def codec_store(request, ssb_db):
+    return request.param, _matrix_store(ssb_db, request.param)
 
 
 CHECKERBOARD_COLUMNS = ("lo_discount", "lo_revenue", "lo_quantity")
@@ -472,9 +487,226 @@ class TestMergeSemantics:
             TileStreamExecutor(engine, workers=0)
         with pytest.raises(ValueError):
             TileStreamExecutor(engine, morsel_tiles=0)
-        assert (
-            TileStreamExecutor(engine).morsel_tiles == DEFAULT_MORSEL_TILES
+        # None derives the width per query; an explicit width is kept.
+        assert TileStreamExecutor(engine).morsel_tiles is None
+        assert TileStreamExecutor(engine, morsel_tiles=3).morsel_tiles == 3
+
+
+# ---------------------------------------------------------------------------
+# Derived morsel widths and the shared drain loop
+# ---------------------------------------------------------------------------
+
+
+def _assert_partition(morsels, tile_active, span, workers, num_rows):
+    """The derived-partition contract over one executor span."""
+    lo, hi = span
+    live = np.flatnonzero(tile_active[lo:hi]) + lo
+    seen = []
+    prev_hi = lo
+    for k, m in enumerate(morsels):
+        assert m.index == k
+        assert prev_hi <= m.tile_lo < m.tile_hi <= hi, (k, m)
+        assert m.tile_lo == lo or m.tile_lo % MORSEL_ALIGN_TILES == 0, m
+        assert (m.row_lo, m.row_hi) == (m.tile_lo * TILE, min(m.tile_hi * TILE, num_rows))
+        if k < len(morsels) - 1:  # the last morsel takes the remainder
+            assert m.tile_hi - m.tile_lo >= MIN_MORSEL_TILES, m
+        seen.extend(np.flatnonzero(tile_active[m.tile_lo : m.tile_hi]) + m.tile_lo)
+        prev_hi = m.tile_hi
+    assert np.array_equal(np.asarray(seen, dtype=np.int64), live)
+    assert len(morsels) <= workers * MORSELS_PER_WORKER + 1
+    if live.size:
+        # Never narrower than the floor unless the surviving tiles are.
+        widest = max(m.tile_hi - m.tile_lo for m in morsels)
+        assert widest >= min(MIN_MORSEL_TILES, live.size)
+
+
+class _GridOnly:
+    """An engine stand-in exposing only the tile grid's shape."""
+
+    def __init__(self, num_tiles: int):
+        self.num_tiles = num_tiles
+        self.num_rows = num_tiles * TILE - 100
+
+
+@pytest.fixture(scope="module")
+def date_sorted():
+    db = sort_lineorder_by(generate(scale_factor=0.01, seed=7), "lo_orderdate")
+    return db, load_lineorder(db, "gpu-star")
+
+
+class TestDerivedMorsels:
+    @pytest.mark.parametrize("num_tiles", (5, 64, 117, 1171, 3000))
+    def test_partition_contract_on_synthetic_grids(self, num_tiles):
+        rng = np.random.default_rng(num_tiles)
+        tiles = np.arange(num_tiles)
+        grids = {
+            "all": np.ones(num_tiles, dtype=bool),
+            "none": np.zeros(num_tiles, dtype=bool),
+            "window": (tiles >= num_tiles // 3) & (tiles < num_tiles // 2 + 3),
+            "checkerboard-1": tiles % 2 == 0,
+            "checkerboard-8": (tiles // 8) % 2 == 0,
+            "sparse": rng.random(num_tiles) < 0.05,
+        }
+        engine = _GridOnly(num_tiles)
+        for shards in (1, 2, 4, 7):
+            bounds = np.linspace(0, num_tiles, shards + 1).astype(int)
+            for span in zip(bounds[:-1], bounds[1:]):
+                span = (int(span[0]), int(span[1]))
+                for workers in (1, 2, 8):
+                    executor = TileStreamExecutor(engine, workers=workers, tile_span=span)
+                    for label, active in grids.items():
+                        active = active.copy()
+                        active[: span[0]] = False
+                        active[span[1] :] = False
+                        morsels = executor._partition(active)
+                        _assert_partition(
+                            morsels, active, span, workers, engine.num_rows
+                        )
+                        # A pinned width keeps the fixed grid from the span start.
+                        pinned = executor._partition(active, morsel_tiles=64)
+                        assert all((m.tile_lo - span[0]) % 64 == 0 for m in pinned)
+
+    def test_width_grows_with_the_surviving_tiles(self):
+        executor = TileStreamExecutor(_GridOnly(3000), workers=2)
+        morsels = executor._partition(np.ones(3000, dtype=bool))
+        assert len(morsels) == 2 * MORSELS_PER_WORKER
+        assert all(m.tile_hi - m.tile_lo > MIN_MORSEL_TILES for m in morsels)
+
+    @pytest.mark.parametrize(
+        "data, qname",
+        [(d, q) for d in ("unsorted", "sorted") for q in ("q1.1", "q2.1", "q3.2", "q4.1")]
+        + [("checkerboard", "checkerboard-1"), ("checkerboard", "checkerboard-8")],
+    )
+    def test_answers_match_the_pinned_grid(
+        self, ssb_db, gpu_star_store, date_sorted, data, qname
+    ):
+        if data == "sorted":
+            db, store = date_sorted
+        elif data == "checkerboard":
+            # GPU-SIMDBP128's 4096-row codec tiles are the ones morsel
+            # boundaries must not split.
+            db, store = ssb_db, _matrix_store(ssb_db, "gpu-simdbp128")
+        else:
+            db, store = ssb_db, gpu_star_store
+        query = _matrix_query(qname, db)
+        pinned = CrystalEngine(db, store, streaming=True, stream_workers=2, morsel_tiles=64)
+        ref = pinned.run(query)
+        num_tiles = pinned.num_tiles
+        for shards in (1, 2, 4, 7):
+            bounds = np.linspace(0, num_tiles, shards + 1).astype(int)
+            for span in zip(bounds[:-1], bounds[1:]):
+                span = (int(span[0]), int(span[1]))
+                for workers in (1, 2, 8):
+                    engine = CrystalEngine(db, store, streaming=True, stream_workers=workers)
+                    executor = TileStreamExecutor(engine, workers=workers, tile_span=span)
+                    plan = executor.plan(query)
+                    _assert_partition(
+                        plan.morsels, plan.tile_active, span, workers, engine.num_rows
+                    )
+        for workers in (1, 2, 8):
+            engine = CrystalEngine(db, store, streaming=True, stream_workers=workers)
+            got = engine.run(query)
+            label = (data, qname, workers)
+            assert got.groups == ref.groups, label
+            assert got.kernel_count == ref.kernel_count, label
+            assert got.simulated_ms == ref.simulated_ms, label
+            stats = engine.last_stream_stats
+            widths = [m.tile_hi - m.tile_lo for m in engine._stream_executor.plan(query).morsels]
+            assert stats["morsel_tiles"] == max(widths, default=0), label
+
+    def test_stats_report_the_width_used(self, ssb_db, gpu_star_store):
+        cases = ((True, 3, 3), (False, None, None))
+        for streaming, morsel_tiles, expect in cases:
+            engine = CrystalEngine(
+                ssb_db, gpu_star_store, streaming=streaming, morsel_tiles=morsel_tiles
+            )
+            engine.run(QUERIES["q2.1"])
+            expect = engine.num_tiles if expect is None else expect
+            assert engine.last_stream_stats["morsel_tiles"] == expect
+
+
+def _record_morsels(monkeypatch, executor, fail=()):
+    """Wrap ``executor._run_morsel``: log (morsel index, thread) and
+    raise for the morsel indices in ``fail``."""
+    ran: list[tuple[int, threading.Thread]] = []
+    inner = executor._run_morsel
+
+    def run(query, plan, morsel):
+        ran.append((morsel.index, threading.current_thread()))
+        if morsel.index in fail:
+            raise RuntimeError(f"morsel {morsel.index} failed")
+        return inner(query, plan, morsel)
+
+    monkeypatch.setattr(executor, "_run_morsel", run)
+    return ran
+
+
+class TestMorselDrain:
+    def test_two_workers_are_the_caller_and_one_pool_thread(
+        self, ssb_db, gpu_star_store, monkeypatch
+    ):
+        engine = CrystalEngine(ssb_db, gpu_star_store, streaming=True)
+        executor = TileStreamExecutor(engine, workers=2, morsel_tiles=1)
+        ran = _record_morsels(monkeypatch, executor)
+        try:
+            executor.execute(QUERIES["q2.1"])
+            assert executor._pool._max_workers == 1
+            assert len(executor._pool._threads) == 1
+        finally:
+            executor.close()
+        assert sorted(i for i, _ in ran) == list(range(engine.num_tiles))
+        threads = {t for _, t in ran}
+        assert threading.current_thread() in threads
+        assert len(threads) <= 2
+
+    def test_one_worker_starts_no_pool(self, ssb_db, gpu_star_store, monkeypatch):
+        engine = CrystalEngine(ssb_db, gpu_star_store, streaming=True)
+        executor = TileStreamExecutor(engine, workers=1, morsel_tiles=3)
+        ran = _record_morsels(monkeypatch, executor)
+        executor.execute(QUERIES["q2.1"])
+        assert executor._pool is None
+        assert {t for _, t in ran} == {threading.current_thread()}
+
+    def test_drain_stress_runs_every_morsel_once(
+        self, ssb_db, gpu_star_store, monkeypatch
+    ):
+        # More workers than cores and a short switch interval: a morsel
+        # popped twice or lost would break the count or the answer.
+        query = QUERIES["q2.1"]
+        ref = CrystalEngine(ssb_db, gpu_star_store).run(query).groups
+        engine = CrystalEngine(ssb_db, gpu_star_store, streaming=True)
+        executor = TileStreamExecutor(engine, workers=8, morsel_tiles=1)
+        ran = _record_morsels(monkeypatch, executor)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                ran.clear()
+                assert executor.execute(query) == ref
+                assert sorted(i for i, _ in ran) == list(range(engine.num_tiles))
+        finally:
+            sys.setswitchinterval(interval)
+            executor.close()
+
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    def test_first_error_in_morsel_order_after_every_morsel_ran(
+        self, ssb_db, gpu_star_store, monkeypatch, workers
+    ):
+        from repro.serving.metrics import MetricsRegistry
+
+        engine = CrystalEngine(ssb_db, gpu_star_store, streaming=True)
+        metrics = MetricsRegistry()
+        executor = TileStreamExecutor(
+            engine, workers=workers, morsel_tiles=3, metrics=metrics
         )
+        ran = _record_morsels(monkeypatch, executor, fail=(5, 2))
+        try:
+            with pytest.raises(RuntimeError, match="morsel 2 failed"):
+                executor.execute(QUERIES["q2.1"])
+        finally:
+            executor.close()
+        assert sorted(i for i, _ in ran) == list(range(-(-engine.num_tiles // 3)))
+        assert metrics.snapshot()["streaming_morsel_failures"] == 2
 
 
 # ---------------------------------------------------------------------------
