@@ -4,12 +4,13 @@ Drives a scan-heavy flight-1 mix through the serving layer's
 ``ShardRouter`` at 1/2/4 tile-range shards on a large SSB instance
 (default SF=0.5 — big enough that the fixed per-query fused-kernel
 launch overhead stops masking the data-proportional work), asserts
-bit-identical answers at every shard count and a >=3x wall-clock
+bit-identical answers at every shard count and a >=3x simulated
 speedup at 4 shards both as measured and projected to the paper's
 SF=20, then runs hot key-range scans over the sorted ``lo_orderkey``
 prefix to capture routing-skew metrics.  Emits ``BENCH_sharding.json``
-— walls, speedups, SF=20 projections, routing skew, per-shard
-occupancy — as the scaling baseline future PRs compare against.
+— simulated ms (``sim_ms``), speedups, SF=20 projections, routing skew,
+per-shard occupancy — as the scaling baseline later changes compare
+against.
 
 Environment knobs:
     REPRO_SHARDING_SF   — SSB scale factor for this bench (default 0.5;
@@ -73,12 +74,12 @@ def _run_sharded():
         router = ShardRouter(db, store, num_shards, metrics=metrics)
         if launch_ms is None:
             launch_ms = router.sharded.spec.kernel_launch_us / 1000.0
-        wall = 0.0
+        sim = 0.0
         answers = []
         for query in broad:
             with router.pinned(query.columns) as place_ms:
                 groups, execute_ms = router.execute(query)
-            wall += place_ms + execute_ms
+            sim += place_ms + execute_ms
             answers.append(groups)
         # Untimed: hot key scans exercise zone-map routing so the skew
         # gauges and per-shard routed counts reflect a skewed stream.
@@ -88,14 +89,14 @@ def _run_sharded():
             answers.append(groups)
         answers_by_count[num_shards] = answers
         if single_ms is None:
-            single_ms = wall
-        wall_sf20 = _project_sf20(wall, len(broad), SHARDING_SF, launch_ms)
+            single_ms = sim
+        sim_sf20 = _project_sf20(sim, len(broad), SHARDING_SF, launch_ms)
         rows.append(
             {
                 "shards": num_shards,
-                "wall_ms": wall,
-                "speedup": single_ms / wall,
-                "wall_ms_sf20": wall_sf20,
+                "sim_ms": sim,
+                "speedup": single_ms / sim,
+                "sim_ms_sf20": sim_sf20,
             }
         )
         if num_shards == SHARD_COUNTS[-1]:
@@ -107,9 +108,9 @@ def _run_sharded():
             }
         router.close()
 
-    base_sf20 = rows[0]["wall_ms_sf20"]
+    base_sf20 = rows[0]["sim_ms_sf20"]
     for row in rows:
-        row["speedup_sf20"] = base_sf20 / row["wall_ms_sf20"]
+        row["speedup_sf20"] = base_sf20 / row["sim_ms_sf20"]
     return db, store, rows, answers_by_count, last_router_stats
 
 

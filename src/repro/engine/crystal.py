@@ -19,10 +19,11 @@ Three execution styles cover the paper's six systems:
 
 Every fused query is driven by one executor,
 :class:`~repro.engine.streaming.TileStreamExecutor`: a plan pass, then
-morsels over the surviving tiles, then one priced fact kernel.  Without
-``streaming`` the executor runs a single morsel spanning the whole tile
-grid on the coordinator thread.  Only staged plans call the query
-function against the engine itself.
+morsels over the surviving tiles of the engine's ``tile_span`` (the
+whole grid unless the engine serves one tile-range shard), then one
+priced fact kernel.  Without ``streaming`` the executor runs a single
+morsel spanning the whole span on the coordinator thread.  Only staged
+plans call the query function against the engine itself.
 """
 
 from __future__ import annotations
@@ -187,6 +188,7 @@ class CrystalEngine:
         stream_workers: int = 4,
         morsel_tiles: int | None = None,
         kernel_backend: str | None = None,
+        tile_span: tuple[int, int] | None = None,
     ):
         self.db = db
         self.store = store
@@ -201,7 +203,7 @@ class CrystalEngine:
         #: How :meth:`run` cuts a fused query into morsels.  On, morsels
         #: sized from the surviving tiles run on ``stream_workers``
         #: threads and decode column chunks into per-worker arenas.  Off,
-        #: one morsel spans the whole tile grid on the coordinator thread
+        #: one morsel spans the whole tile span on the coordinator thread
         #: and loads whole-column images (cached and reused across
         #: queries).  Answers and simulated time are bit-identical either
         #: way; only peak memory and wall clock differ.  Staged plans
@@ -247,6 +249,15 @@ class CrystalEngine:
         self._stream_executor = None
         self.num_rows = db.num_lineorder_rows
         self.num_tiles = -(-self.num_rows // TILE)
+        lo, hi = tile_span if tile_span is not None else (0, self.num_tiles)
+        if not (0 <= lo <= hi <= self.num_tiles):
+            raise ValueError(f"tile_span {tile_span} outside [0, {self.num_tiles}]")
+        #: Engine-tile range ``[lo, hi)`` fused queries run over (the
+        #: whole fact table by default).  A tile-range shard's engine gets
+        #: its shard's span: plans skip tiles outside it and the fused
+        #: kernel is priced over the span only, so per-shard work shrinks
+        #: with the shard.
+        self.tile_span = (int(lo), int(hi))
         self._tile_bytes_cache: dict[str, np.ndarray] = {}
         self._decoded_cache: dict[str, np.ndarray] = {}
         self._bounds_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -828,6 +839,11 @@ class CrystalEngine:
         self.last_stream_stats = executor.last_stats
         self._account_stream_arenas()
         return groups
+
+    def close(self) -> None:
+        """Shut the streaming executor's worker pool down (idempotent)."""
+        if self._stream_executor is not None:
+            self._stream_executor.close()
 
     def trim_stream_arenas(self, max_bytes: int = 0) -> int:
         """Release streaming decode-arena scratch down to ``max_bytes``.

@@ -423,31 +423,17 @@ class TileStreamExecutor:
         workers: int = 4,
         morsel_tiles: int | None = None,
         metrics=None,
-        tile_span: tuple[int, int] | None = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if morsel_tiles is not None and morsel_tiles < 1:
             raise ValueError(f"morsel_tiles must be >= 1, got {morsel_tiles}")
-        if tile_span is not None:
-            lo, hi = int(tile_span[0]), int(tile_span[1])
-            if not (0 <= lo <= hi <= engine.num_tiles):
-                raise ValueError(
-                    f"tile_span {tile_span} outside [0, {engine.num_tiles}]"
-                )
-            tile_span = (lo, hi)
         self.engine = engine
         self.workers = workers
         #: Pinned engine tiles per morsel, or ``None`` to derive the width
         #: per query from the surviving tiles (see :meth:`_partition`).
         self.morsel_tiles = morsel_tiles
         self.metrics = metrics
-        #: Engine-tile range ``[lo, hi)`` this executor is restricted to
-        #: (``None`` = the whole fact table).  A sharded serving layer
-        #: gives each shard's executor its tile span; plans then skip
-        #: tiles outside it and the fused kernel is priced over the span
-        #: only, so per-shard work genuinely shrinks with the shard.
-        self.tile_span = tile_span
         #: Surviving tile grid of the most recent execute() (plan pass).
         self.tile_active = np.ones(0, dtype=bool)
         #: Stats of the most recent execute() call.
@@ -572,12 +558,6 @@ class TileStreamExecutor:
 
     # -- orchestration ------------------------------------------------------
 
-    def _span(self) -> tuple[int, int]:
-        """The executor's engine-tile range ``[lo, hi)``."""
-        if self.tile_span is not None:
-            return self.tile_span
-        return (0, self.engine.num_tiles)
-
     def _partition(
         self, tile_active: np.ndarray, morsel_tiles: int | None = None
     ) -> list[Morsel]:
@@ -592,7 +572,7 @@ class TileStreamExecutor:
         and ends after its last one on the next multiple of
         :data:`MORSEL_ALIGN_TILES`.
         """
-        span_lo, span_hi = self._span()
+        span_lo, span_hi = self.engine.tile_span
         width = morsel_tiles if morsel_tiles is not None else self.morsel_tiles
         if width is not None:
             grid = [(lo, min(lo + width, span_hi)) for lo in range(span_lo, span_hi, width)]
@@ -651,13 +631,12 @@ class TileStreamExecutor:
                 f"query {query.name} did not run a FactPipeline plan; "
                 f"streaming needs a pipeline-based query function"
             )
-        active = ppipe.global_tile_active
-        if self.tile_span is not None:
-            # Restrict to the shard's span without mutating the global
-            # pushdown result (the plan pipeline's accounting keeps it).
-            active = active.copy()
-            active[: self.tile_span[0]] = False
-            active[self.tile_span[1] :] = False
+        # Restrict to the engine's tile span without mutating the global
+        # pushdown result (the plan pipeline's accounting keeps it).
+        span = engine.tile_span
+        active = ppipe.global_tile_active.copy()
+        active[: span[0]] = False
+        active[span[1] :] = False
         self.tile_active = active
         # Warm the shared metadata caches from the coordinator so morsel
         # workers only ever read them (bounds were warmed by pushdown).
@@ -668,11 +647,11 @@ class TileStreamExecutor:
         # otherwise the name keeps host-side arithmetic outside the
         # predicate IR from ever aliasing across distinct queries.
         plan_base = query.plan_key if query.plan_key is not None else ("query", query.name)
-        base_key = (plan_base, tuple(plan.fingerprints), tuple(ppipe.trace))
-        if self.tile_span is not None:
-            # Partials of different shards must never alias in a shared
-            # semantic cache: the span is part of what the plan computes.
-            base_key = base_key + (("span",) + self.tile_span,)
+        # The span is part of what the plan computes: partials of
+        # different shards must never alias in a shared semantic cache.
+        base_key = (
+            plan_base, tuple(plan.fingerprints), tuple(ppipe.trace), ("span",) + span
+        )
         pred = And(tuple(ppipe.pred_conjuncts))
         return StreamPlan(
             query=query,
@@ -745,7 +724,7 @@ class TileStreamExecutor:
         """Record ``last_stats`` and metrics for one executed query."""
         engine = self.engine
         peak = self.peak_decoded_bytes
-        span_lo, span_hi = self._span()
+        span_lo, span_hi = engine.tile_span
         self.last_stats = {
             "query": plan.query.name,
             "workers": self.workers,
@@ -871,10 +850,10 @@ class TileStreamExecutor:
         else:
             gathers = list(ppipe._gathers)
         regs = 14 + ppipe._extra_regs + ppipe._decode_regs
-        # The fused kernel's grid covers only this executor's tile span:
-        # a shard launches one block per *its* tiles, not the whole fact
-        # table's, so shard wall-clock scales down with the shard.
-        span_lo, span_hi = self._span()
+        # The fused kernel's grid covers only the engine's tile span: a
+        # shard launches one block per *its* tiles, not the whole fact
+        # table's, so a shard's simulated time scales down with the shard.
+        span_lo, span_hi = engine.tile_span
         span_tiles = max(1, span_hi - span_lo)
         with engine.device.launch(
             f"fact-{ppipe.name}",

@@ -5,9 +5,9 @@ working set that motivates §1's "shard between multiple GPUs".  This
 driver pushes a scan-heavy workload through the serving layer's
 :class:`~repro.serving.sharding.ShardRouter` at 1/2/4 shards and reports
 
-* simulated wall-clock and speedup per shard count (slowest routed shard
-  per query plus the interconnect all-gather of partials),
-* the same walls projected to the paper's SF=20 (per-query kernel launch
+* simulated ms (``sim_ms``) and speedup per shard count (slowest routed
+  shard per query plus the interconnect all-gather of partials),
+* the same times projected to the paper's SF=20 (per-query kernel launch
   overhead held fixed, data-proportional time scaled by rows),
 * routing skew: the workload mixes broad flight-1 scans (fan out to all
   shards) with key-range scans over the *sorted* ``lo_orderkey`` column
@@ -109,13 +109,13 @@ def build_workload(
     return queries
 
 
-def _project_sf20(wall_ms: float, num_queries: int, scale_factor: float,
+def _project_sf20(sim_ms: float, num_queries: int, scale_factor: float,
                   launch_ms: float) -> float:
-    """Project a measured wall to SF=20: the per-query fused-kernel
+    """Project a simulated time to SF=20: the per-query fused-kernel
     launch overhead is row-count independent; everything else (decode,
     filter, transfer, merge) is data-proportional."""
     fixed = num_queries * launch_ms
-    variable = max(0.0, wall_ms - fixed)
+    variable = max(0.0, sim_ms - fixed)
     return fixed + variable * (PAPER_SF / scale_factor)
 
 
@@ -151,7 +151,7 @@ def run(
 
     rows: list[dict] = []
     shard_rows: list[dict] = []
-    single_wall = None
+    single_sim = None
     launch_ms = None
     for num_shards in shard_counts:
         metrics = MetricsRegistry()
@@ -161,30 +161,27 @@ def run(
         )
         if launch_ms is None:
             launch_ms = router.sharded.spec.kernel_launch_us / 1000.0
-        wall = 0.0
+        sim = 0.0
         for query in workload:
             with router.pinned(query.columns) as place_ms:
                 groups, execute_ms = router.execute(query)
-            wall += place_ms + execute_ms
+            sim += place_ms + execute_ms
             assert groups == expected[query.name], (num_shards, query.name)
         snap = metrics.snapshot()
-        if single_wall is None:
-            single_wall = wall
-        wall_sf20 = _project_sf20(wall, len(workload), scale_factor, launch_ms)
+        if single_sim is None:
+            single_sim = sim
+        sim_sf20 = _project_sf20(sim, len(workload), scale_factor, launch_ms)
         rows.append(
             {
                 "shards": num_shards,
-                "wall_ms": wall,
-                "speedup": single_wall / wall,
-                "wall_ms_sf20": wall_sf20,
+                "sim_ms": sim,
+                "speedup": single_sim / sim,
+                "sim_ms_sf20": sim_sf20,
                 "skew": snap.get("router_routing_skew", 1.0),
                 "merge_ms": snap.get("router_merge_ms_count", 0)
                 and snap.get("router_merge_ms_mean", 0.0)
                 * snap.get("router_merge_ms_count", 0),
-                "evictions": sum(
-                    metrics.counter("pool_evictions", labels={"shard": i})
-                    for i in range(num_shards)
-                ),
+                "evictions": sum(s["evictions"] for s in router.shard_summary()),
             }
         )
         if num_shards == shard_counts[-1]:
@@ -195,9 +192,9 @@ def run(
                 shard_rows.append(entry)
         router.close()
 
-    base_sf20 = rows[0]["wall_ms_sf20"]
+    base_sf20 = rows[0]["sim_ms_sf20"]
     for row in rows:
-        row["speedup_sf20"] = base_sf20 / row["wall_ms_sf20"]
+        row["speedup_sf20"] = base_sf20 / row["sim_ms_sf20"]
     return {
         "rows": rows,
         "shard_rows": shard_rows,
@@ -213,9 +210,9 @@ def summary_rows(result: dict) -> list[dict]:
     return [
         {
             "shards": r["shards"],
-            "wall_ms": r["wall_ms"],
+            "sim_ms": r["sim_ms"],
             "speedup": r["speedup"],
-            "sf20_wall_ms": r["wall_ms_sf20"],
+            "sf20_sim_ms": r["sim_ms_sf20"],
             "sf20_speedup": r["speedup_sf20"],
             "routing_skew": r["skew"],
             "evictions": r["evictions"],

@@ -9,15 +9,16 @@ multi-tenant server:
   greedy-dual decode-cost × recency within a class) evicts under
   pressure, so ``GPUSpec.global_capacity_bytes`` is actually enforced.
 * :class:`~repro.serving.scheduler.QueryServer` — concurrent admission of
-  SSB queries and point lookups over one shared engine, with a bounded
-  queue (backpressure), per-request simulated timeouts, and batching of
-  compatible requests into one execution.
+  SSB queries and point lookups, with a bounded queue (backpressure),
+  per-request simulated timeouts, and batching of compatible requests
+  into one execution, all served through a shard router.
 * :class:`~repro.serving.metrics.MetricsRegistry` — the shared counters,
   gauges and latency percentiles both components export.
 * :class:`~repro.serving.semcache.SemanticResultCache` — a byte-budgeted
   semantic result cache of per-tile-span partial aggregates, reused
   across queries whose canonicalized predicates provably agree per tile.
-* :class:`~repro.serving.sharding.ShardRouter` — multi-GPU serving:
+* :class:`~repro.serving.sharding.ShardRouter` — the server's one
+  execution path (a single device is one shard) and multi-GPU serving:
   columns partitioned tile-range-wise over N simulated devices, queries
   routed only to shards surviving zone-map pushdown, per-shard partials
   scatter-gathered over the modeled interconnect (bit-identical answers

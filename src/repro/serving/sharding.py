@@ -1,38 +1,45 @@
-"""Sharded multi-GPU serving: tile-range column shards behind one router.
+"""Tile-range shards behind one router: the serving layer's only path.
 
-The paper's SF=20 evaluation (120M lineorder rows) does not fit one
-simulated device at the budgets the serving layer enforces, and the §1
-motivation is exactly this: working sets larger than one GPU shard
-"between multiple GPUs", paying interconnect cost for result merging.
-This module connects :class:`~repro.gpusim.multigpu.ShardedDevice` to the
-serving stack:
+The paper runs each query as one fused kernel over a tile grid (§3, §7);
+a tile-range shard is that grid cut to a span, and a single device is
+simply the one span that covers every tile.  So every
+:class:`~repro.serving.scheduler.QueryServer` serves through a
+:class:`ShardRouter` (one shard by default), and the §1 motivation — a
+working set larger than one GPU, split "between multiple GPUs" at the
+price of interconnect merges — is the same router at ``N > 1`` shards:
 
 * Every compressed column is partitioned **tile-range-wise** over ``N``
-  simulated devices on codec-tile-aligned boundaries (no codec tile ever
-  straddles two devices).  A :class:`ColumnShard` owns one contiguous
-  engine-tile span: its own :class:`~repro.gpusim.executor.GPUDevice`,
-  its own byte-budgeted :class:`~repro.serving.pool.ColumnPool`, a
-  :class:`~repro.engine.crystal.CrystalEngine` view of the store, and a
-  :class:`~repro.engine.streaming.TileStreamExecutor` restricted to the
-  shard's tile span with its own morsel workers.
+  simulated devices of a :class:`~repro.gpusim.multigpu.ShardedDevice`
+  on codec-tile-aligned boundaries (no codec tile ever straddles two
+  devices).  A :class:`ColumnShard` owns one contiguous engine-tile
+  span: its own :class:`~repro.gpusim.executor.GPUDevice`, its own
+  byte-budgeted :class:`~repro.serving.pool.ColumnPool`, and a
+  :class:`~repro.engine.crystal.CrystalEngine` restricted to the span
+  (``tile_span``).  Each shard's queries run through
+  :meth:`CrystalEngine.run <repro.engine.crystal.CrystalEngine.run>`,
+  so its streaming decode arenas are charged to its own pool.
 * The :class:`ShardRouter` routes each query only to shards whose tile
   ranges survive zone-map pushdown of the query's declared predicate IR
   (:meth:`~repro.engine.crystal.CrystalEngine.surviving_tiles`), runs
-  shard-local streaming execution concurrently, and scatter-gathers the
-  per-shard partial aggregates through the executor's exact-integer
-  ``merge_parts`` path — paying the modeled interconnect cost via
+  the shards concurrently, and scatter-gathers the per-shard partial
+  aggregates through the executor's exact-integer ``merge_parts`` path —
+  paying the modeled interconnect cost via
   :meth:`~repro.gpusim.multigpu.ShardedDevice.merge_results` — so
-  answers are bit-identical to single-device execution at every shard
-  count.
+  answers are bit-identical at every shard count.  Point lookups split
+  their indices by shard row range and gather on the owning devices.
 * Hot small columns can be **replicated**: pinned in full on every
   shard's pool, so point lookups against them never cross the
   interconnect.  Updates fan out: one
   :class:`~repro.core.updates.UpdatableColumn` flush invalidates every
   shard's caches, pool residents and semantic-cache epochs.
 
-Per-shard resident bytes, queue depth, latency and routing skew all land
-in the shared :class:`~repro.serving.metrics.MetricsRegistry` under
-labeled keys (``shard_execute_ms{shard=2}`` …).
+Per-shard latency, queue depth and routing skew land in the shared
+:class:`~repro.serving.metrics.MetricsRegistry` under labeled keys
+(``shard_execute_ms{shard=2}`` …); pools are labeled by shard only when
+there is more than one, so a single device scrapes the plain
+``pool_hits``/``pool_misses``/``pool_evictions`` keys.  Times returned
+by :meth:`ShardRouter.execute` and :meth:`ShardRouter.lookup` are the
+simulator's milliseconds (``sim_ms``), never host wall time.
 """
 
 from __future__ import annotations
@@ -47,7 +54,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from repro.core.random_access import gather
 from repro.engine.crystal import TILE, CrystalEngine, SSBQuery
 from repro.engine.streaming import TileStreamExecutor
 from repro.formats.base import TileCodec
@@ -99,9 +105,8 @@ class ColumnShard:
     device: object
     pool: ColumnPool
     engine: CrystalEngine
-    executor: TileStreamExecutor
     #: Serializes all access to the shard's (not thread-safe) device and
-    #: executor: the router dispatches at most one query to a shard at a
+    #: engine: the router dispatches at most one query to a shard at a
     #: time, even when several callers share the router.
     lock: threading.Lock = field(default_factory=threading.Lock)
     #: Queries routed to this shard so far (routing-skew accounting).
@@ -141,11 +146,12 @@ class ShardRouter:
     :class:`~repro.ssb.loader.ColumnStore`.  ``budget_bytes`` is the
     byte budget of **each** shard's pool (default: the device spec's
     global memory); ``replicate_columns`` are pinned in full on every
-    shard.  The router itself is the serving layer's "device": its
-    :attr:`elapsed_ms` is the simulated wall-clock of everything routed
-    through it (slowest selected shard per query, plus interconnect
-    merges), which a :class:`~repro.serving.scheduler.QueryServer` uses
-    as its serving clock.
+    shard.  ``streaming`` picks the shard engines' execution style;
+    more than one shard requires it, because a non-streaming engine
+    loads whole-column images rather than its span's tiles.  The
+    router's :attr:`elapsed_ms` is the simulated clock of everything
+    routed through it (slowest selected shard per query, plus
+    interconnect merges).
     """
 
     def __init__(
@@ -159,7 +165,7 @@ class ShardRouter:
         morsel_tiles: int | None = None,
         interconnect_gbps: float = 50.0,
         spec: GPUSpec | None = None,
-        pushdown: bool = True,
+        streaming: bool = True,
         verify_cached: bool = False,
         semantic_cache: bool = False,
         semcache_budget_bytes: int | None = None,
@@ -168,6 +174,16 @@ class ShardRouter:
     ):
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
+        if num_shards > 1 and not streaming:
+            raise ValueError(
+                "num_shards > 1 requires streaming=True: shards execute "
+                "tile-span-restricted streaming plans"
+            )
+        if semantic_cache and not streaming:
+            raise ValueError(
+                "semantic_cache requires streaming=True: partials are "
+                "cached at morsel granularity"
+            )
         self.db = db
         self.store = store
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -201,17 +217,19 @@ class ShardRouter:
             tile_lo = row_lo // TILE
             tile_hi = -(-row_hi // TILE)
             pool = ColumnPool(
-                per_shard_budget, metrics=self.metrics, metric_labels={"shard": i}
+                per_shard_budget,
+                metrics=self.metrics,
+                metric_labels={"shard": i} if num_shards > 1 else None,
             )
             engine = CrystalEngine(
                 db,
                 store,
                 device=sharded.devices[i],
                 pool=pool,
-                pushdown=pushdown,
-                streaming=True,
+                streaming=streaming,
                 stream_workers=stream_workers,
                 morsel_tiles=morsel_tiles,
+                tile_span=(tile_lo, tile_hi),
             )
             engine.metrics = self.metrics
             engine.verify_cached = verify_cached
@@ -222,16 +240,6 @@ class ShardRouter:
                     else DEFAULT_SEMCACHE_BUDGET,
                     metrics=self.metrics,
                 )
-            executor = TileStreamExecutor(
-                engine,
-                workers=stream_workers,
-                morsel_tiles=morsel_tiles,
-                metrics=self.metrics,
-                tile_span=(tile_lo, tile_hi),
-            )
-            # The engine's own streaming entry points (arena accounting,
-            # idle trims) operate on the shard-scoped executor.
-            engine._stream_executor = executor
             self.shards.append(
                 ColumnShard(
                     index=i,
@@ -242,8 +250,12 @@ class ShardRouter:
                     device=sharded.devices[i],
                     pool=pool,
                     engine=engine,
-                    executor=executor,
                 )
+            )
+        if num_shards > 1 and not self.shards[0].engine.uses_streaming():
+            raise ValueError(
+                f"{store.system} plans are staged over the whole table and "
+                f"cannot run on tile-range shards"
             )
         self._dispatch: ThreadPoolExecutor | None = None
         self._clock_lock = threading.Lock()
@@ -298,10 +310,10 @@ class ShardRouter:
 
         Each shard admits (and pays PCIe transfer for) only its own tile
         range's share — replicated columns in full, pinned.  Returns the
-        simulated wall-clock of the placement: shards transfer
-        concurrently, so it is the slowest shard's transfer time.
+        placement's simulated ms: shards transfer concurrently, so it is
+        the slowest shard's transfer time.
         """
-        wall_ms = 0.0
+        sim_ms = 0.0
         for shard in self._nonempty():
             shard_ms = 0.0
             with shard.lock:
@@ -336,16 +348,16 @@ class ShardRouter:
                             nbytes,
                             labels={"shard": shard.index},
                         )
-            wall_ms = max(wall_ms, shard_ms)
-        if wall_ms:
-            self._advance(wall_ms)
-        return wall_ms
+            sim_ms = max(sim_ms, shard_ms)
+        if sim_ms:
+            self._advance(sim_ms)
+        return sim_ms
 
     @contextlib.contextmanager
     def pinned(self, columns: tuple[str, ...]) -> Iterator[float]:
         """Place ``columns`` on every shard and pin them for the block.
 
-        Yields the placement's simulated wall ms (0.0 on full pool hits).
+        Yields the placement's simulated ms (0.0 on full pool hits).
         """
         place_ms = self.place_columns(columns)
         keys = tuple(f"compressed/{c}" for c in columns)
@@ -360,13 +372,14 @@ class ShardRouter:
         """Shards whose tile ranges survive the query's predicate pushdown.
 
         Uses the declared predicate IR against the shared zone maps; a
-        query with no declared predicate fans out to every shard.  At
-        least one shard is always selected (the aggregate identity must
-        come from somewhere), mirroring the single-device engine's
-        behavior when pushdown prunes everything.
+        query with no declared predicate fans out to every shard, and a
+        lone shard is selected without a zone-map pass.  At least one
+        shard is always selected (the aggregate identity must come from
+        somewhere), mirroring one engine's behavior when pushdown prunes
+        everything.
         """
         candidates = self._nonempty()
-        if query.predicate is not None and candidates:
+        if query.predicate is not None and len(candidates) > 1:
             surviving = candidates[0].engine.surviving_tiles(query.predicate)
             selected = [
                 s for s in candidates if surviving[s.tile_lo : s.tile_hi].any()
@@ -406,17 +419,8 @@ class ShardRouter:
                 labels={"shard": shard.index},
             )
             t0 = time.perf_counter()
-            before = shard.device.elapsed_ms
             try:
-                engine, executor = shard.engine, shard.executor
-                # Cold-tier columns pay their unspill + cascade-decode
-                # prologue per shard, like the single-device engine.
-                engine.decompress_first(query.columns)
-                if engine.semcache is not None:
-                    groups = engine.semcache.execute(engine, executor, query)
-                else:
-                    groups = executor.execute(query)
-                engine.last_stream_stats = executor.last_stats
+                result = shard.engine.run(query)
             finally:
                 self._inflight[shard.index] -= 1
                 self.metrics.gauge(
@@ -424,14 +428,13 @@ class ShardRouter:
                     self._inflight[shard.index],
                     labels={"shard": shard.index},
                 )
-            device_ms = shard.device.elapsed_ms - before
-            shard.busy_ms += device_ms
-            stats = executor.last_stats
+            shard.busy_ms += result.simulated_ms
+            stats = shard.engine.last_stream_stats
             return _ShardOutcome(
                 shard=shard.index,
-                groups=groups,
+                groups=result.groups,
                 agg_ops=tuple(stats.get("agg_ops", ())),
-                device_ms=device_ms,
+                device_ms=result.simulated_ms,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
                 morsels=int(stats.get("morsels", 0)),
             )
@@ -446,11 +449,11 @@ class ShardRouter:
     def execute(self, query: SSBQuery) -> tuple[dict[int, int], float]:
         """Run one query across its surviving shards; merge the partials.
 
-        Returns ``(groups, wall_ms)``: the bit-identical merged answer
-        and the simulated wall-clock — the slowest selected shard's
-        device time plus the interconnect all-gather of the per-shard
-        partials.  The router's :attr:`elapsed_ms` clock advances by the
-        same amount.
+        Returns ``(groups, sim_ms)``: the bit-identical merged answer
+        and the simulated time — the slowest selected shard's device
+        time plus the interconnect all-gather of the per-shard partials.
+        The router's :attr:`elapsed_ms` clock advances by the same
+        amount.
         """
         selected = self.route(query)
         outcomes: list[_ShardOutcome | None] = [None] * len(selected)
@@ -487,8 +490,8 @@ class ShardRouter:
             partial_bytes = max(16 * max(1, len(o.groups)) for o in outcomes)
             merge_ms = self.sharded.merge_results(partial_bytes)
             self.metrics.observe("router_merge_ms", merge_ms)
-        wall_ms = max(o.device_ms for o in outcomes) + merge_ms
-        self._advance(wall_ms)
+        sim_ms = max(o.device_ms for o in outcomes) + merge_ms
+        self._advance(sim_ms)
         for o in outcomes:
             self.metrics.observe(
                 "shard_execute_ms", o.device_ms, labels={"shard": o.shard}
@@ -504,11 +507,29 @@ class ShardRouter:
             "shard_ms": {o.shard: o.device_ms for o in outcomes},
             "shard_morsels": {o.shard: o.morsels for o in outcomes},
             "merge_ms": merge_ms,
-            "wall_ms": wall_ms,
+            "sim_ms": sim_ms,
         }
-        return merged, wall_ms
+        return merged, sim_ms
 
     # -- point lookups -------------------------------------------------------
+
+    def check_indices(self, indices) -> np.ndarray:
+        """Validate lookup indices: integers in ``[0, num_rows)``.
+
+        Returns them as int64; raises :class:`ValueError` otherwise, so a
+        bad index fails at the boundary instead of resolving to garbage.
+        """
+        arr = np.asarray(indices)
+        if arr.size == 0:
+            return arr.astype(np.int64).reshape(-1)
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"lookup indices must be integers, got {arr.dtype}")
+        if int(arr.min()) < 0 or int(arr.max()) >= self.num_rows:
+            raise ValueError(
+                f"lookup indices must lie in [0, {self.num_rows}), got "
+                f"[{int(arr.min())}, {int(arr.max())}]"
+            )
+        return arr.astype(np.int64).reshape(-1)
 
     def lookup(self, name: str, indices: np.ndarray) -> tuple[np.ndarray, float]:
         """Scatter-gather one coalesced lookup batch across the shards.
@@ -517,28 +538,27 @@ class ShardRouter:
         its slice on its own device concurrently, and the fetched values
         ride the interconnect back (one all-gather).  Replicated columns
         skip the scatter entirely: the least-loaded shard serves the
-        whole batch from its pinned full copy.
+        whole batch from its pinned full copy.  Returns ``(values,
+        sim_ms)``.
         """
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = self.check_indices(indices)
         col = self.store[name]
         out = np.empty(indices.size, dtype=np.int64)
         if name in self.replicated:
             shard = min(self._nonempty(), key=lambda s: s.busy_ms)
-            ms = self._gather_on(shard, col, indices, out, slice(None))
-            self._advance(ms)
-            return out, ms
+            sim_ms = self._gather_on(shard, col, indices, out, slice(None))
+            self._advance(sim_ms)
+            return out, sim_ms
         plan: list[tuple[ColumnShard, np.ndarray]] = []
         for shard in self._nonempty():
             mask = (indices >= shard.row_lo) & (indices < shard.row_hi)
-            if shard.row_hi >= self.num_rows:
-                mask |= indices >= self.num_rows  # ragged tail / OOB guard
             if mask.any():
                 plan.append((shard, np.flatnonzero(mask)))
         if not plan:
             return out, 0.0
         if len(plan) == 1:
             shard, pos = plan[0]
-            wall_ms = self._gather_on(shard, col, indices[pos], out, pos)
+            sim_ms = self._gather_on(shard, col, indices[pos], out, pos)
         else:
             pool = self._ensure_dispatch()
             futures = [
@@ -549,10 +569,10 @@ class ShardRouter:
                 for shard, pos in plan
             ]
             errors: list[tuple[int, BaseException]] = []
-            wall_ms = 0.0
+            sim_ms = 0.0
             for shard, fut in futures:
                 try:
-                    wall_ms = max(wall_ms, fut.result())
+                    sim_ms = max(sim_ms, fut.result())
                 except Exception as exc:
                     errors.append((shard.index, exc))
             if errors:
@@ -560,38 +580,49 @@ class ShardRouter:
                 raise errors[0][1]
             # Fetched values all-gather back over the interconnect.
             per_device = max(pos.size for _, pos in plan) * 8
-            wall_ms += self.sharded.merge_results(per_device)
-        self._advance(wall_ms)
-        return out, wall_ms
+            sim_ms += self.sharded.merge_results(per_device)
+        self._advance(sim_ms)
+        return out, sim_ms
 
     def _gather_on(self, shard, col, idx, out, pos) -> float:
-        """Gather ``idx`` of one column on a shard's device into ``out[pos]``."""
+        """Gather ``idx`` of one column on a shard's device into ``out[pos]``.
+
+        The one per-device lookup: a hot column's pinned decoded image
+        serves a plain coalesced gather, an inline-compressed column a
+        tile-coalesced :func:`~repro.core.random_access.gather`, and
+        anything else one coalesced element per index (after the cold
+        tier's unspill + cascade-decode prologue).
+        """
+        # Through the scheduler's namespace, where served lookups' gather
+        # is looked up (and where instrumentation wraps it).
+        from repro.serving.scheduler import gather
+
+        engine, device = shard.engine, shard.device
         with shard.lock:
-            before = shard.device.elapsed_ms
+            before = device.elapsed_ms
             # Branch on the ``col`` snapshot the router fetched once: a
             # tier swap racing this gather must not pair a re-probed
             # verdict with the snapshot's payload.
-            pinned = shard.engine.pinned_decoded(col.name)
+            pinned = engine.pinned_decoded(col.name)
             if pinned is not None:
-                with shard.device.launch(
-                    f"lookup-{col.name}", grid_blocks=max(1, idx.size // 128)
-                ) as k:
-                    k.read_gather(idx.size, 4, pinned.size * 4)
-                    k.compute(idx.size)
-                fetched = np.asarray(pinned)[idx]
-            elif shard.engine.inline_column(col):
-                fetched = gather(col.payload, idx, shard.device).values
+                source = pinned
+            elif engine.inline_column(col):
+                out[pos] = gather(col.payload, idx, device).values
+                source = None
             else:
                 if col.tier == "cold":
-                    shard.engine.decompress_first((col.name,))
-                with shard.device.launch(
+                    # Entropy-coded payloads have no random access: the
+                    # batch pays the unspill + cascade decode prologue.
+                    engine.decompress_first((col.name,))
+                source = col.values
+            if source is not None:
+                with device.launch(
                     f"lookup-{col.name}", grid_blocks=max(1, idx.size // 128)
                 ) as k:
-                    k.read_gather(idx.size, 4, col.values.size * 4)
+                    k.read_gather(idx.size, 4, source.size * 4)
                     k.compute(idx.size)
-                fetched = np.asarray(col.values)[idx]
-            out[pos] = fetched
-            ms = shard.device.elapsed_ms - before
+                out[pos] = np.asarray(source)[idx]
+            ms = device.elapsed_ms - before
             shard.busy_ms += ms
             return ms
 
@@ -635,16 +666,16 @@ class ShardRouter:
                 "busy_ms": s.busy_ms,
                 "resident_bytes": s.pool.resident_bytes,
                 "evictions": self.metrics.counter(
-                    "pool_evictions", labels={"shard": s.index}
+                    "pool_evictions", labels=s.pool.metric_labels
                 ),
             }
             for s in self.shards
         ]
 
     def close(self) -> None:
-        """Shut down shard executors and the dispatch pool (idempotent)."""
+        """Shut down shard engines' workers and the dispatch pool (idempotent)."""
         for shard in self.shards:
-            shard.executor.close()
+            shard.engine.close()
         if self._dispatch is not None:
             self._dispatch.shutdown(wait=True)
             self._dispatch = None

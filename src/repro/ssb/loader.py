@@ -101,44 +101,6 @@ class ColumnStore:
             self.columns[name] = new
             return old
 
-    def place_on_device(self, pool, device, columns=None) -> float:
-        """Admit columns' compressed images into a serving ColumnPool.
-
-        This is the enforced form of "load the store onto the GPU": each
-        missing column is admitted as a ``compressed`` pool resident
-        (evicting reconstructible images under pressure) and charged as a
-        host→device PCIe transfer.  A column larger than the pool's whole
-        budget — which previously "loaded" without complaint — raises
-        :class:`~repro.serving.pool.PoolAdmissionError`.
-
-        Args:
-            pool: the :class:`~repro.serving.pool.ColumnPool` owning the
-                device byte budget.
-            device: simulated GPU to account transfers on.
-            columns: column names to place (default: every column).
-
-        Returns:
-            Simulated transfer milliseconds spent on pool misses.
-        """
-        total_ms = 0.0
-        for name in columns if columns is not None else self.columns:
-            col = self.columns[name]
-            key = f"compressed/{name}"
-            if pool.get(key) is not None:
-                continue
-            payload = col.payload
-            if payload is None and col.spill_path is not None:
-                payload = self.ensure_payload(name)
-            pool.admit(
-                key,
-                col.nbytes,
-                kind="compressed",
-                payload=payload,
-                reconstruct_cost_ms=device.spec.pcie.transfer_ms(col.nbytes),
-            )
-            total_ms += device.transfer_to_device(col.nbytes)
-        return total_ms
-
     def ensure_payload(self, name: str):
         """Reload a spilled column's payload from its on-disk container.
 

@@ -11,6 +11,7 @@ from repro.serving import (
     PoolAdmissionError,
     estimate_decode_cost_ms,
 )
+from repro.serving.sharding import ShardRouter
 from repro.ssb.dbgen import generate
 from repro.ssb.loader import load_lineorder
 
@@ -140,35 +141,40 @@ class TestDecodeCostEstimate:
 
 
 class TestStorePlacement:
-    """Satellite: loading past ``capacity_bytes`` must raise, not succeed."""
+    """Satellite: loading past ``capacity_bytes`` must raise, not succeed.
+
+    Placement goes through a one-shard router, the serving layer's only
+    placement loop.
+    """
 
     @pytest.fixture(scope="class")
     def db(self):
         return generate(scale_factor=0.002, seed=7)
 
+    @staticmethod
+    def _place_all(db, store, budget, metrics=None):
+        router = ShardRouter(db, store, 1, budget_bytes=budget, metrics=metrics)
+        return router, router.place_columns(tuple(store.columns))
+
     def test_placement_charges_transfer_once(self, db):
         store = load_lineorder(db, "gpu-star")
-        pool = ColumnPool(store.total_bytes + 1)
-        device = GPUDevice()
-        first = store.place_on_device(pool, device)
-        again = store.place_on_device(pool, device)
+        router, first = self._place_all(db, store, store.total_bytes + 1)
+        again = router.place_columns(tuple(store.columns))
         assert first > 0.0 and again == 0.0
-        assert pool.resident_bytes == store.total_bytes
+        assert router.shards[0].pool.resident_bytes == store.total_bytes
 
     def test_column_over_budget_raises(self, db):
         store = load_lineorder(db, "gpu-star")
         largest = max(c.nbytes for c in store.columns.values())
-        pool = ColumnPool(largest - 1)
         with pytest.raises(PoolAdmissionError):
-            store.place_on_device(pool, GPUDevice())
+            self._place_all(db, store, largest - 1)
 
     def test_tiny_budget_evicts_to_fit(self, db):
         store = load_lineorder(db, "gpu-star")
         sizes = sorted(c.nbytes for c in store.columns.values())
         budget = sizes[-1] + sizes[-2]  # room for the two largest only
-        pool = ColumnPool(budget, metrics=MetricsRegistry())
-        store.place_on_device(pool, GPUDevice())
-        snap = pool.metrics_snapshot()
+        router, _ = self._place_all(db, store, budget, MetricsRegistry())
+        snap = router.shards[0].pool.metrics_snapshot()
         assert snap["pool_peak_resident_bytes"] <= budget
         assert snap["pool_evictions"] > 0
 

@@ -135,9 +135,9 @@ class TestShardedBitIdentity:
         ref = CrystalEngine(ssb_db, store).run(query).groups
         for num_shards in SHARD_COUNTS:
             router = ShardRouter(ssb_db, store, num_shards)
-            groups, wall_ms = router.execute(query)
+            groups, sim_ms = router.execute(query)
             assert groups == ref, (codec_name, qname, num_shards)
-            assert wall_ms > 0
+            assert sim_ms > 0
             router.close()
 
     def test_full_matrix_at_four_shards(self, ssb_db):
@@ -261,11 +261,11 @@ class TestShardedLookup:
         router = ShardRouter(ssb_db, store, num_shards)
         rng = np.random.default_rng(17)
         indices = rng.integers(0, ssb_db.num_lineorder_rows, 513)
-        values, wall_ms = router.lookup("lo_extendedprice", indices)
+        values, sim_ms = router.lookup("lo_extendedprice", indices)
         assert np.array_equal(
             values, ssb_db.lineorder["lo_extendedprice"][indices]
         )
-        assert wall_ms > 0
+        assert sim_ms > 0
         router.close()
 
     def test_replicated_lookup_uses_one_shard(self, ssb_db):
@@ -294,7 +294,18 @@ class TestShardedServer:
         with pytest.raises(ValueError, match="streaming"):
             QueryServer(ssb_db, gpu_star_store, num_shards=2)
 
-    @pytest.mark.parametrize("num_shards", (2, 4))
+    def test_staged_plans_are_not_sharded(self, ssb_db):
+        """Staged OmniSci plans sweep the whole table, so every shard
+        would count every row: they run on one shard only."""
+        store = load_lineorder(ssb_db, "omnisci")
+        with pytest.raises(ValueError, match="staged"):
+            QueryServer(ssb_db, store, streaming=True, num_shards=2)
+        server = QueryServer(ssb_db, store)
+        ref = CrystalEngine(ssb_db, store).run(QUERIES["q1.1"]).groups
+        assert server.serve([ServeRequest("query", "q1.1")])[0].groups == ref
+        server.stop()
+
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_server_answers_match_single_device(
         self, ssb_db, gpu_star_store, num_shards
     ):
@@ -305,26 +316,126 @@ class TestShardedServer:
                 "lookup", "lo_extendedprice", indices=np.arange(100, 400)
             ),
         ]
-        ref_srv = QueryServer(ssb_db, gpu_star_store, streaming=True)
-        ref = ref_srv.serve([ServeRequest(r.kind, r.name, indices=r.indices)
-                             for r in requests])
-        ref_srv.stop()
+        engine = CrystalEngine(ssb_db, gpu_star_store, streaming=True)
+        expected = [
+            engine.run(r.query).groups if r.kind == "query" else None
+            for r in requests
+        ]
+        engine.close()
         server = QueryServer(
             ssb_db, gpu_star_store, streaming=True, num_shards=num_shards
         )
         got = server.serve(requests)
-        for a, b in zip(ref, got):
+        for request, want, b in zip(requests, expected, got):
             assert b.ok, b.error
-            if a.groups is not None:
-                assert b.groups == a.groups
+            if want is not None:
+                assert b.groups == want
             else:
-                assert np.array_equal(b.values, a.values)
+                assert np.array_equal(
+                    b.values, ssb_db.lineorder[request.name][request.indices]
+                )
         snap = server.metrics_snapshot()
         assert snap["server_served"] == 3
-        for i in range(num_shards):
-            assert f"pool_budget_bytes{{shard={i}}}" in snap
+        if num_shards == 1:
+            assert "pool_budget_bytes" in snap
+        else:
+            for i in range(num_shards):
+                assert f"pool_budget_bytes{{shard={i}}}" in snap
         assert snap["router_queries"] >= 2
         server.stop()
+
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_every_shard_charges_its_arenas_to_its_pool(
+        self, ssb_db, gpu_star_store, num_shards
+    ):
+        """One ledger per device: each shard's streaming decode arenas
+        are a resident of that shard's own pool, within its budget."""
+        budget = 64 * 1024 * 1024
+        server = QueryServer(
+            ssb_db, gpu_star_store, budget_bytes=budget, streaming=True,
+            stream_workers=2, num_shards=num_shards,
+        )
+        assert server.serve([ServeRequest("query", "q1.1")])[0].ok
+        ran = server.router.last_execution["shards"]
+        for shard in server.router.shards:
+            if shard.empty or shard.index not in ran:
+                continue
+            peak = shard.engine._stream_executor.peak_decoded_bytes
+            resident = shard.pool.lookup("scratch/stream-arenas")
+            assert resident is not None and resident.nbytes == peak > 0
+            assert shard.pool.resident_bytes <= budget
+        server.stop()
+
+    def test_one_shard_scrapes_unlabeled_pool_counters(self, ssb_db, gpu_star_store):
+        """A single device keeps the plain pool counter names scrapers read."""
+        # Room for one flight's columns at a time, so alternating flights
+        # hit, miss and evict.
+        budget = int(1.2 * max(
+            sum(gpu_star_store[c].nbytes for c in QUERIES[q].columns)
+            for q in ("q1.1", "q2.1")
+        ))
+        server = QueryServer(
+            ssb_db, gpu_star_store, budget_bytes=budget, streaming=True,
+            batch_window=1,
+        )
+        results = server.serve(
+            [ServeRequest("query", q) for q in ("q1.1", "q1.1", "q2.1", "q1.1")]
+        )
+        assert all(r.ok for r in results)
+        snap = server.metrics_snapshot()
+        for key in ("pool_hits", "pool_misses", "pool_evictions"):
+            assert snap[key] > 0, key
+            assert not any(k.startswith(key + "{") for k in snap), key
+        server.stop()
+
+    @pytest.mark.parametrize("num_shards", (1, 2))
+    def test_bad_lookup_indices_refused_at_admission(
+        self, ssb_db, gpu_star_store, num_shards
+    ):
+        server = QueryServer(
+            ssb_db, gpu_star_store, streaming=True, num_shards=num_shards
+        )
+        rows = ssb_db.num_lineorder_rows
+        for bad in ([-1], [rows], [0, rows + 5], [0.5, 1.0]):
+            with pytest.raises(ValueError):
+                server.lookup("lo_quantity", np.asarray(bad))
+            with pytest.raises(ValueError):
+                server.submit(ServeRequest("lookup", "lo_quantity", indices=bad))
+        with pytest.raises(ValueError, match="unknown"):
+            server.lookup("no_such_column", np.arange(3))
+        assert server.queue_depth == 0
+        edge = np.array([0, rows - 1])
+        result = server.serve([ServeRequest("lookup", "lo_quantity", indices=edge)])[0]
+        assert result.ok
+        assert np.array_equal(result.values, ssb_db.lineorder["lo_quantity"][edge])
+        server.stop()
+
+    @pytest.mark.parametrize("num_shards", (1, 2))
+    def test_unexpected_error_answers_group_and_keeps_serving(
+        self, ssb_db, gpu_star_store, num_shards
+    ):
+        server = QueryServer(
+            ssb_db, gpu_star_store, streaming=True, num_shards=num_shards
+        )
+        calls = []
+
+        def fail_once(column):
+            if not calls:
+                calls.append(column)
+                raise RuntimeError("injected bug")
+
+        for shard in server.router.shards:
+            shard.engine.fault_hook = fail_once
+        server.start()
+        try:
+            first = server.query("q1.1").result(timeout=30)
+            second = server.query("q1.1").result(timeout=30)
+            assert first.status == "error" and "injected bug" in first.error
+            assert second.ok, second.error
+            assert server._thread is not None and server._thread.is_alive()
+            assert server.metrics_snapshot()["server_errors"] == 1
+        finally:
+            server.stop()
 
     def test_semantic_cache_per_shard(self, ssb_db, gpu_star_store):
         server = QueryServer(

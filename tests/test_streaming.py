@@ -521,11 +521,12 @@ def _assert_partition(morsels, tile_active, span, workers, num_rows):
 
 
 class _GridOnly:
-    """An engine stand-in exposing only the tile grid's shape."""
+    """An engine stand-in exposing only the tile grid's shape and span."""
 
-    def __init__(self, num_tiles: int):
+    def __init__(self, num_tiles: int, tile_span: tuple[int, int] | None = None):
         self.num_tiles = num_tiles
         self.num_rows = num_tiles * TILE - 100
+        self.tile_span = tile_span if tile_span is not None else (0, num_tiles)
 
 
 @pytest.fixture(scope="module")
@@ -547,13 +548,13 @@ class TestDerivedMorsels:
             "checkerboard-8": (tiles // 8) % 2 == 0,
             "sparse": rng.random(num_tiles) < 0.05,
         }
-        engine = _GridOnly(num_tiles)
         for shards in (1, 2, 4, 7):
             bounds = np.linspace(0, num_tiles, shards + 1).astype(int)
             for span in zip(bounds[:-1], bounds[1:]):
                 span = (int(span[0]), int(span[1]))
+                engine = _GridOnly(num_tiles, span)
                 for workers in (1, 2, 8):
-                    executor = TileStreamExecutor(engine, workers=workers, tile_span=span)
+                    executor = TileStreamExecutor(engine, workers=workers)
                     for label, active in grids.items():
                         active = active.copy()
                         active[: span[0]] = False
@@ -597,8 +598,10 @@ class TestDerivedMorsels:
             for span in zip(bounds[:-1], bounds[1:]):
                 span = (int(span[0]), int(span[1]))
                 for workers in (1, 2, 8):
-                    engine = CrystalEngine(db, store, streaming=True, stream_workers=workers)
-                    executor = TileStreamExecutor(engine, workers=workers, tile_span=span)
+                    engine = CrystalEngine(
+                        db, store, streaming=True, stream_workers=workers, tile_span=span
+                    )
+                    executor = TileStreamExecutor(engine, workers=workers)
                     plan = executor.plan(query)
                     _assert_partition(
                         plan.morsels, plan.tile_active, span, workers, engine.num_rows
