@@ -1,10 +1,14 @@
 """Random access into tile-compressed columns (paper Section 8).
 
-Bit-packed data has no per-element addressability: touching any element
-means loading and decoding its whole tile.  The redeeming structure is the
-``block_starts`` index — a tile's compressed bytes are locatable without
-decoding anything else, so a *sparse* access pattern only pays for the
-tiles it intersects.  Section 8 shows the consequences: below a
+On the modeled GPU, bit-packed data has no per-element addressability:
+a thread block touching any element loads and decodes its whole tile,
+and this module prices it that way.  (The host emulation can do better
+for GPU-FOR: a block header locates any value in two or three word reads,
+which is what :meth:`~repro.formats.base.TileCodec.gather_rows` does for
+the engine's sparse loads — but that is host wall time, not the §8
+kernel.)  The redeeming structure is the ``block_starts`` index — a
+tile's compressed bytes are locatable without decoding anything else, so
+a *sparse* access pattern only pays for the tiles it intersects.  Section 8 shows the consequences: below a
 selectivity of ``1/TILE`` compressed access is nearly free, above it the
 cost plateaus at one full decompression — which still undercuts
 uncompressed random access, whose 128-byte line granularity makes it read

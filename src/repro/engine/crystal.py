@@ -49,7 +49,7 @@ from repro.formats.base import (
 from repro.formats.registry import get_codec
 from repro.gpusim.executor import GPUDevice
 from repro.gpusim.memory import linear_bytes
-from repro.engine.lookup import MISS, Lookup, make_lookup
+from repro.engine.lookup import Lookup, make_lookup
 from repro.engine.predicates import (
     And,
     ColumnPredicate,
@@ -81,6 +81,41 @@ OMNISCI_OP_OVERHEAD = 24
 #: Systems whose columns must be decompressed to global memory before the
 #: query kernel can read them.
 DECOMPRESS_FIRST_SYSTEMS = ("nvcomp", "planner", "gpu-bp")
+
+#: Share of a pipeline's span rows below which an inline column load reads
+#: only the live rows (:meth:`TileCodec.gather_rows`) instead of decoding
+#: every active tile.  After a flight's first loads on unsorted data only
+#: 0-4% of rows are live while 60-100% of tiles stay active.  Measured on a
+#: 2-vCPU host, one 592k-row GPU-FOR column at random selectivity: the
+#: gather took 0.16 ms at 1% live, 0.58 ms at 4%, 1.6 ms at 10% and 3.9 ms
+#: at 20%, against 2.2-2.4 ms for a whole-column decode, so it breaks even
+#: near 12-15%.  Codecs without a row-level gather decode the tiles their
+#: live rows fall in, which is never more than the active tiles.
+SPARSE_GATHER_FRACTION = 1 / 8
+
+#: Group sums stay exact through a float64 ``bincount`` while every
+#: partial sum is below this magnitude.
+_EXACT_FLOAT = 2**53
+
+
+def group_sums(codes: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """``sum(weights)`` by ``codes`` over ``size`` groups, exact for int64.
+
+    A float64 ``bincount`` is exact only while ``max|w| * rows < 2**53``;
+    past that the sums accumulate as int64, or as Python ints where even
+    int64 could overflow.
+    """
+    weights = np.asarray(weights)
+    bound = max(int(weights.max()), -int(weights.min())) if weights.size else 0
+    if bound * weights.size < _EXACT_FLOAT:
+        return np.bincount(codes, weights=weights, minlength=size)
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    dtype = np.int64 if bound * weights.size < 2**63 else object
+    sums = np.zeros(size, dtype=dtype)
+    sums[ordered[starts]] = np.add.reduceat(weights[order].astype(dtype), starts)
+    return sums
 
 
 def codec_tile_activity(
@@ -398,6 +433,13 @@ class CrystalEngine:
             return cached
         values, _ = self._decode_pruned(col, tile_active)
         return values.astype(col.payload.dtype, copy=False)
+
+    def has_decoded_image(self, name: str) -> bool:
+        """Whether a full decoded image of ``name`` is cached (no pool
+        hit is counted: the load that then uses it counts its own)."""
+        if self.pool is None:
+            return name in self._decoded_cache
+        return self.pool.lookup(f"decoded/{name}") is not None
 
     def _cached_full_image(self, name: str) -> np.ndarray | None:
         """A cached full decoded image: strictly better than a re-decode."""
@@ -974,7 +1016,12 @@ class FactPipeline:
     accumulates traffic/compute for the single fact kernel the streaming
     executor prices; the executor's plan and morsel pipelines subclass
     this one and supply the fused loads (``_tile_read_bytes``,
-    ``_column_slice`` and ``_column_slice_filtered``).
+    ``_column_slice``, ``_column_slice_filtered`` and the sparse
+    ``_column_rows``).
+
+    The selection is a sorted vector of the span's live rows (``None``
+    until the first filter drops a row); operators take their inputs at
+    those rows, and the host never touches a dead row's value.
     """
 
     def __init__(
@@ -992,13 +1039,11 @@ class FactPipeline:
         # plan and morsel pipelines set their own.
         self.n = engine.num_rows if rows is None else rows
         num_tiles = engine.num_tiles if tiles is None else tiles
-        self.mask = np.ones(self.n, dtype=bool)
         self.tile_active = np.ones(num_tiles, dtype=bool)
+        # The selection: sorted live rows of the span, or None while every
+        # row is live.  Filters narrow it; operators index with it.
+        self._rows: np.ndarray | None = None
         self._finished = False
-        # Scratch for per-tile mask reduction: allocated once per pipeline
-        # instead of per filter() call.  Rows past ``n`` are padding and
-        # stay False forever (only [:n] is ever written).
-        self._pad_scratch = np.zeros(num_tiles * TILE, dtype=bool)
         # Fused-kernel accumulators.
         self._read_bytes = 0
         self._write_bytes = 0
@@ -1018,7 +1063,15 @@ class FactPipeline:
     # -- operators -----------------------------------------------------------
 
     def load(self, name: str) -> np.ndarray:
-        """Load a fact column (tile loads skip fully-filtered tiles)."""
+        """Load a fact column (tile loads skip fully-filtered tiles).
+
+        Returns the column over the pipeline's span; only live rows hold
+        meaningful values.  Pricing always follows the tile activity (the
+        modeled kernel decodes whole tiles), but once fewer than
+        :data:`SPARSE_GATHER_FRACTION` of the span's rows are live the
+        host reads just those rows (:meth:`TileCodec.gather_rows`)
+        instead of decoding every active tile.
+        """
         self._check_open()
         engine = self.engine
         col = engine.store[name]
@@ -1074,22 +1127,32 @@ class FactPipeline:
             self._extra_regs += D_PER_THREAD
             self._compute += active_rows  # BlockLoad index arithmetic
 
-        # Fused decode+filter: a pushdown conjunct on this column is
-        # evaluated during unpack, so non-qualifying rows of surviving
-        # tiles never materialize.  The fused mask is ANDed immediately
-        # (its rows are provably dead under the query's WHERE — pushdown
-        # conjuncts are necessary conditions); pricing of the filter step
-        # stays with the matching filter_predicate call, which sees the
-        # identical post-AND selection either way.
+        # A pending pushdown conjunct on an inline column is applied at
+        # load on every route: fused into the unpack where the codec can,
+        # else evaluated on the live rows of the loaded values.  Its rows
+        # are provably dead under the query's WHERE (pushdown conjuncts
+        # are necessary conditions), so the selection narrows at once and
+        # later probes and aggregates are priced on the same rows whether
+        # the load was cold, warm or checksummed.  Pricing of the filter
+        # step stays with the matching filter_predicate call, which sees
+        # the identical selection either way.
         pred = self._pushdown_preds.get(name)
-        if pred is not None and name not in self._fused_preds and inline:
+        pending = inline and pred is not None and name not in self._fused_preds
+        rowmask = None
+        if inline and self.live_count < self.n * SPARSE_GATHER_FRACTION:
+            values = self._column_rows(name, col)
+        elif pending:
             values, rowmask = self._column_slice_filtered(name, pred)
-            if rowmask is not None:
-                self.mask &= rowmask
-                self._fused_preds[name] = pred
-                return values
-            return values
-        return self._column_slice(name)
+        else:
+            return self._column_slice(name)
+        if pending:
+            self._narrow(
+                pred.row_mask(self.live(values))
+                if rowmask is None
+                else self.live(rowmask)
+            )
+            self._fused_preds[name] = pred
+        return values
 
     def filter_pushdown(self, predicate: "ColumnPredicate | And | None") -> int:
         """Declare the query's pushdown predicate before any column loads.
@@ -1115,12 +1178,13 @@ class FactPipeline:
         return int(np.count_nonzero(~self.tile_active))
 
     def filter(self, rowmask: np.ndarray) -> None:
-        """AND a row predicate into the pipeline's selection."""
+        """AND a row predicate into the pipeline's selection.
+
+        ``rowmask`` covers the span's rows or just its live rows (see
+        :meth:`live`).
+        """
         self._check_open()
-        rowmask = np.asarray(rowmask, dtype=bool)
-        if rowmask.shape != (self.n,):
-            raise ValueError("filter mask must cover every fact row")
-        self.mask &= rowmask
+        self._narrow(self.live(np.asarray(rowmask, dtype=bool)))
         self._after_mask_update()
 
     def filter_predicate(self, predicate: ColumnPredicate, values: np.ndarray) -> None:
@@ -1132,30 +1196,22 @@ class FactPipeline:
         never inspecting their values at all.
         """
         self._check_open()
-        values = np.asarray(values)
-        if values.shape != (self.n,):
-            raise ValueError("filter values must cover every fact row")
+        values = self._row_array(values, "filter values")
         if self._fused_preds.get(predicate.column) == predicate:
-            # This exact conjunct was already evaluated inside the fused
-            # decode of its column and ANDed into the mask at load time;
-            # only the filter step's accounting remains.
+            # This exact conjunct was already applied when its column was
+            # loaded; only the filter step's accounting remains.
             self._fused_preds.pop(predicate.column)
             self._after_mask_update()
             return
-        live = self.live_count
-        if live * 2 < self.n:
-            self.mask[self.mask] = predicate.row_mask(values[self.mask])
-        else:
-            # Mostly-live selection: the dense compare is cheaper than a
-            # gather + scatter round trip.
-            self.mask &= predicate.row_mask(values)
+        self._narrow(predicate.row_mask(self.live(values)))
         self._after_mask_update()
 
     def _after_mask_update(self) -> None:
         """Refresh tile activity and price the filter step."""
-        scratch = self._pad_scratch
-        scratch[: self.n] = self.mask
-        self.tile_active &= scratch.reshape(-1, TILE).any(axis=1)
+        if self._rows is not None:
+            hit = np.zeros(self.tile_active.size, dtype=bool)
+            hit[self._rows // TILE] = True
+            self.tile_active &= hit
         if self.staged:
             self._staged_kernel(
                 f"filter-{self.name}",
@@ -1167,7 +1223,13 @@ class FactPipeline:
             self._compute += self.live_count * 2
 
     def probe(self, lookup: Lookup, keys: np.ndarray) -> np.ndarray:
-        """Probe a join lookup for every currently-live row."""
+        """Probe a join lookup for every currently-live row.
+
+        Returns the payloads over the span's rows
+        (:data:`~repro.engine.lookup.MISS` where a live row's key has no
+        qualifying dimension row); like a load's values, a dead row's
+        entry is unspecified.
+        """
         self._check_open()
         count = self.live_count
         if self.staged:
@@ -1181,15 +1243,22 @@ class FactPipeline:
         else:
             self._gathers.append((count, 4, lookup.nbytes))
             self._compute += count * 3
-        payload = np.full(self.n, MISS, dtype=np.int64)
-        if count:
-            payload[self.mask] = lookup.probe(np.asarray(keys)[self.mask])
+        found = lookup.probe(self.live(keys))
+        if self._rows is None:
+            return found
+        payload = np.empty(self.n, dtype=np.int64)
+        payload[self._rows] = found
         return payload
 
     def group_sum(
         self, codes: np.ndarray, weights: np.ndarray, num_groups: int
     ) -> dict[int, int]:
-        """Aggregate ``sum(weights) group by codes`` over live rows."""
+        """Aggregate ``sum(weights) group by codes`` over live rows.
+
+        ``codes`` and ``weights`` each cover the span's rows or just its
+        live rows (see :meth:`live`).  Sums are exact for any int64
+        weights.
+        """
         self._check_open()
         count = self.live_count
         if self.staged:
@@ -1204,23 +1273,20 @@ class FactPipeline:
             self._compute += count * 8
             self._gathers.append((min(count, num_groups * 4), 8, num_groups * 8))
             self._write_bytes += num_groups * 8
-        codes = np.asarray(codes, dtype=np.int64)
+        live_codes = self.live(codes).astype(np.int64, copy=False)
+        weights = self.live(weights)
         if count == 0:
             return {}
-        live_codes = codes[self.mask]
-        if live_codes.size and (live_codes.min() < 0 or live_codes.max() >= num_groups):
+        if live_codes.min() < 0 or live_codes.max() >= num_groups:
             raise ValueError("group codes out of range")
         keys = None
         if live_codes.size * 32 < num_groups:
             # Few live rows over a large group domain (a morsel's rows
             # against q4.3's 1.75M groups): sum over the codes present
-            # instead of a dense num_groups array.  bincount adds each
-            # group's weights in row order either way: same sums.
+            # instead of a dense num_groups array.
             keys, live_codes = np.unique(live_codes, return_inverse=True)
-        sums = np.bincount(
-            live_codes,
-            weights=np.asarray(weights)[self.mask].astype(np.float64),
-            minlength=num_groups if keys is None else keys.size,
+        sums = group_sums(
+            live_codes, weights, num_groups if keys is None else keys.size
         )
         nz = np.flatnonzero(sums)
         codes_out = nz if keys is None else keys[nz]
@@ -1229,9 +1295,8 @@ class FactPipeline:
     def total_sum(self, values: np.ndarray) -> dict[int, int]:
         """Ungrouped ``sum(values)`` over live rows (query flight 1)."""
         self._account_aggregate(num_groups=1)
-        if self.live_count == 0:
-            return {0: 0}
-        return {0: int(np.asarray(values, dtype=np.int64)[self.mask].sum())}
+        values = self.live(values).astype(np.int64, copy=False)
+        return {0: int(values.sum())}
 
     def total_sum_product(self, a: np.ndarray, b: np.ndarray) -> dict[int, int]:
         """Ungrouped ``sum(a*b)`` over live rows (the flight-1 aggregate).
@@ -1241,10 +1306,8 @@ class FactPipeline:
         materializing a full product column.
         """
         self._account_aggregate(num_groups=1)
-        if self.live_count == 0:
-            return {0: 0}
-        lhs = np.asarray(a, dtype=np.int64)[self.mask]
-        rhs = np.asarray(b, dtype=np.int64)[self.mask]
+        lhs = self.live(a).astype(np.int64, copy=False)
+        rhs = self.live(b).astype(np.int64, copy=False)
         return {0: int((lhs * rhs).sum())}
 
     def _account_aggregate(self, num_groups: int) -> None:
@@ -1284,7 +1347,9 @@ class FactPipeline:
                 raise ValueError("sum needs a values column")
             return self.group_sum(codes, values, num_groups)
         if how == "count":
-            return self.group_sum(codes, np.ones(self.n, dtype=np.int64), num_groups)
+            return self.group_sum(
+                codes, np.ones(self.live_count, dtype=np.int64), num_groups
+            )
         if how not in ("min", "max"):
             raise ValueError(
                 f"unknown aggregate {how!r}; expected sum, count, min or max "
@@ -1309,10 +1374,10 @@ class FactPipeline:
             self._write_bytes += num_groups * 8
         if count == 0:
             return {}
-        codes = np.asarray(codes, dtype=np.int64)[self.mask]
-        if codes.size and (codes.min() < 0 or codes.max() >= num_groups):
+        codes = self.live(codes).astype(np.int64, copy=False)
+        if codes.min() < 0 or codes.max() >= num_groups:
             raise ValueError("group codes out of range")
-        vals = np.asarray(values, dtype=np.int64)[self.mask]
+        vals = self.live(values).astype(np.int64, copy=False)
         sentinel = np.iinfo(np.int64).max if how == "min" else np.iinfo(np.int64).min
         out = np.full(num_groups, sentinel, dtype=np.int64)
         op = np.minimum if how == "min" else np.maximum
@@ -1335,7 +1400,50 @@ class FactPipeline:
 
     @property
     def live_count(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        """Rows of the span still live."""
+        return self.n if self._rows is None else int(self._rows.size)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Sorted indices of the span's live rows."""
+        return np.arange(self.n) if self._rows is None else self._rows
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The selection as one bool per span row (a fresh array)."""
+        if self._rows is None:
+            return np.ones(self.n, dtype=bool)
+        mask = np.zeros(self.n, dtype=bool)
+        mask[self._rows] = True
+        return mask
+
+    def live(self, values: np.ndarray) -> np.ndarray:
+        """``values`` at the live rows, in row order.
+
+        ``values`` covers the span's rows or already just its live rows,
+        which is returned as is; while every row is live the two are the
+        same array.  Operators accept either form, so a plan can compute
+        codes and measures on live rows only.
+        """
+        values = self._row_array(values, "values")
+        if self._rows is None or values.shape[0] == self._rows.size:
+            return values
+        return values.take(self._rows)
+
+    def _row_array(self, values, what: str) -> np.ndarray:
+        values = np.asarray(values)
+        if values.ndim != 1 or values.shape[0] not in (self.n, self.live_count):
+            raise ValueError(
+                f"{what} must cover every fact row of the span, or its live rows"
+            )
+        return values
+
+    def _narrow(self, keep: np.ndarray) -> None:
+        """Keep the live rows where ``keep`` (one bool per live row) holds."""
+        if self._rows is not None:
+            self._rows = self._rows[keep]
+        elif not keep.all():
+            self._rows = np.flatnonzero(keep)
 
     # -- internals ---------------------------------------------------------------
 

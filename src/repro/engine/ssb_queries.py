@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.crystal import MISS, CrystalEngine, SSBQuery
+from repro.engine.crystal import CrystalEngine, SSBQuery
+from repro.engine.lookup import MISS
 from repro.engine.predicates import And, Range, canonical_predicates
 
 # -- dictionary codes for the SSB literals used by the queries -------------

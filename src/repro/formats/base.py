@@ -782,6 +782,41 @@ class TileCodec(ColumnCodec):
         mask[:written] = predicate.row_mask(out[:written])
         return written
 
+    def gather_rows(self, enc: EncodedColumn, rows: np.ndarray) -> np.ndarray:
+        """The values at logical ``rows``, as int64 in the order given.
+
+        The host's late-materialization load: an engine whose selection
+        has thinned to a few rows per tile asks for just those rows.
+        This base implementation decodes every tile a row falls in
+        (through :meth:`decode_tiles`, so checksums are verified where
+        verification is on) and takes the rows; codecs whose headers
+        locate a single value override it to read each row straight
+        from the payload.  Rows may repeat and need not be sorted.
+
+        Raises:
+            IndexError: a row outside ``[0, count)``.
+        """
+        rows = self._validate_rows(enc, rows)
+        if rows.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        elems = self.tile_elements(enc)
+        tiles, slot = np.unique(rows // elems, return_inverse=True)
+        # Only the column's last tile can be short, and it sorts last, so
+        # tile ``slot`` starts at ``slot * elems`` of the concatenation.
+        decoded = self.decode_tiles(enc, tiles)
+        return decoded.take(slot * elems + rows % elems).astype(np.int64, copy=False)
+
+    @staticmethod
+    def _validate_rows(enc: EncodedColumn, rows: np.ndarray) -> np.ndarray:
+        """Normalize ``rows`` to 1-D int64 and bounds-check them."""
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+            raise ValueError("rows must be a one-dimensional integer array")
+        rows = rows.astype(np.int64, copy=False)
+        if rows.size and (int(rows.min()) < 0 or int(rows.max()) >= enc.count):
+            raise IndexError(f"row out of range for column of {enc.count} values")
+        return rows
+
     def bounds_elements(self, enc: EncodedColumn) -> int:
         """Bounds granularity: one entry per decode tile."""
         return self.tile_elements(enc)

@@ -38,6 +38,7 @@ from repro.formats.base import (
     require_mask_buffer,
     require_out_buffer,
     trim_tile_chunks,
+    verify_mode,
 )
 
 #: Values per block.
@@ -582,6 +583,45 @@ class GpuFor(TileCodec):
             # materialized and checksum coverage is preserved.
             self.verify_decoded_tiles(enc, tiles, out[:written])
         return written
+
+    def gather_rows(self, enc: EncodedColumn, rows: np.ndarray) -> np.ndarray:
+        """Read each row straight from the payload, no tile decode.
+
+        A block's header (reference word plus one bitwidth byte per
+        miniblock) locates any of its values: the miniblock's words start
+        after the widths of the miniblocks before it, and value ``j`` of
+        a ``b``-bit miniblock sits at bit ``j * b``.  So each row costs
+        three word reads (block start, reference, bitwidth word) and one
+        or two payload words.  A column carrying a checksum table under
+        active verification takes the base route instead: a CRC covers a
+        whole tile, so only a whole-tile decode can verify it.
+        """
+        if verify_mode() != "off" and "tile_crcs" in enc.meta:
+            return super().gather_rows(enc, rows)
+        rows = self._validate_rows(enc, rows)
+        if rows.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        self.validate_for_decode(enc)
+        data = enc.arrays["data"]
+        # Shifts and masks, not division: BLOCK is 2**7, MINIBLOCK 2**5.
+        bstart = enc.arrays["block_starts"].take(rows >> 7).astype(np.int64)
+        reference = data.take(bstart).view(np.int32).astype(np.int64)
+        widths = data.take(bstart + 1).astype(np.int64)
+        mini = ((rows >> 5) & 3) << 3  # bit offset of the miniblock's width byte
+        bits = (widths >> mini) & 0xFF
+        # Byte m of (widths << 8) * 0x01010101 is the sum of bytes below m:
+        # each width is at most 32, so no byte carries into the next.
+        before = ((((widths << 8) * 0x01010101) & 0xFFFFFFFF) >> mini) & 0xFF
+        bit = (rows & 31) * bits
+        word = bstart + BLOCK_HEADER_WORDS + before + (bit >> 5)
+        # A value spans at most two words; the clamp only bites where the
+        # second word is masked away (a zero-width or word-final value).
+        last = data.size - 1
+        lo = data.take(np.minimum(word, last)).astype(np.uint64)
+        hi = data.take(np.minimum(word + 1, last)).astype(np.uint64)
+        pair = (lo | (hi << np.uint64(32))) >> (bit & 31).astype(np.uint64)
+        diff = pair & ((np.uint64(1) << bits.astype(np.uint64)) - np.uint64(1))
+        return reference + diff.astype(np.int64)
 
     def tile_bounds(self, enc: EncodedColumn) -> tuple[np.ndarray, np.ndarray]:
         """Zero-decode bounds from the block headers.

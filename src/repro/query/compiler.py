@@ -45,7 +45,8 @@ from functools import partial
 import numpy as np
 
 from repro.core.planner import decode_cost_estimate
-from repro.engine.crystal import MISS, CrystalEngine, SSBQuery
+from repro.engine.crystal import CrystalEngine, SSBQuery
+from repro.engine.lookup import MISS
 from repro.engine.predicates import (
     And,
     ColumnPredicate,
@@ -449,33 +450,41 @@ class QueryCompiler:
             for pred in ordered_filters:
                 p.filter_predicate(pred, load(pred.column))
 
-            attr_codes: dict[str, np.ndarray] = {}
+            # Probe and filter first; payload codes, group codes and
+            # measures are then computed on the surviving rows only.
+            payloads = []
             for jp, lookup in zip(kept_joins, lookups):
                 payload = p.probe(lookup, load(jp.join.fact_key))
                 if jp.filtered:
-                    p.filter(payload != MISS)
-                if jp.payload_attrs:
-                    clipped = np.where(payload >= 0, payload, 0)
-                    if len(jp.payload_attrs) == 1:
-                        attr_codes[jp.payload_attrs[0].name] = clipped
-                    else:
-                        for i, attr in enumerate(jp.payload_attrs):
-                            div = 1
-                            for inner in jp.payload_attrs[i + 1 :]:
-                                div *= inner.domain
-                            attr_codes[attr.name] = (clipped // div) % attr.domain
+                    p.filter(p.live(payload) != MISS)
+                payloads.append(payload)
+            attr_codes: dict[str, np.ndarray] = {}
+            for jp, payload in zip(kept_joins, payloads):
+                if not jp.payload_attrs:
+                    continue
+                packed = p.live(payload)
+                if not jp.filtered:  # a key without a dimension row groups as 0
+                    packed = np.maximum(packed, 0)
+                if len(jp.payload_attrs) == 1:
+                    attr_codes[jp.payload_attrs[0].name] = packed
+                else:
+                    for i, attr in enumerate(jp.payload_attrs):
+                        div = 1
+                        for inner in jp.payload_attrs[i + 1 :]:
+                            div *= inner.domain
+                        attr_codes[attr.name] = (packed // div) % attr.domain
             for attr in group_attrs:
                 if attr.table == model_fact:
-                    attr_codes[attr.name] = load(attr.column) - attr.base
+                    attr_codes[attr.name] = p.live(load(attr.column)) - attr.base
 
             def value_of(m: Measure) -> np.ndarray | None:
                 if m.how == "count":
                     return None
-                values = load(m.column)
+                values = p.live(load(m.column))
                 if m.op == "sub":
-                    return values - load(m.other)
+                    return values - p.live(load(m.other))
                 if m.op == "mul":
-                    return values * load(m.other)
+                    return values * p.live(load(m.other))
                 return values
 
             if not group_attrs and len(measures) == 1:
@@ -486,7 +495,7 @@ class QueryCompiler:
                     result = p.total_sum(value_of(m))
                 else:
                     result = p.group_aggregate(
-                        np.zeros(p.n, dtype=np.int64), value_of(m), 1, m.how
+                        np.zeros(p.live_count, dtype=np.int64), value_of(m), 1, m.how
                     )
                 p.finish()
                 return result
@@ -497,7 +506,7 @@ class QueryCompiler:
                 for attr in group_attrs[1:]:
                     codes = codes * attr.domain + attr_codes[attr.name]
             else:
-                codes = np.zeros(p.n, dtype=np.int64)
+                codes = np.zeros(p.live_count, dtype=np.int64)
             n_measures = len(measures)
             result: dict[int, int] = {}
             for i, m in enumerate(measures):

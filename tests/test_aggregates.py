@@ -80,8 +80,9 @@ class TestGroupAggregate:
         def body(p):
             if live_discount is not None:
                 p.filter(p.load("lo_discount") == live_discount)  # ~5,500 live rows
-            # 40 codes spread over the domain, tens of rows each: sums past
-            # 2**53 round in float64, so addition order shows.
+            # 40 codes spread over the domain, tens of rows each: sums pass
+            # 2**53 (and, dense, 2**63), which float64 or int64 would round
+            # or wrap.
             codes = np.random.default_rng(3).integers(0, 40, p.n) * 43_749
             weights = np.asarray(p.load("lo_extendedprice"), np.int64) * 1_000_000_007
             weights[codes == 0] = 0  # a zero-sum group, which is dropped
@@ -95,11 +96,10 @@ class TestGroupAggregate:
         codes = np.random.default_rng(3).integers(0, 40, n) * 43_749
         weights = np.asarray(lo["lo_extendedprice"], np.int64) * 1_000_000_007
         weights[codes == 0] = 0
-        dense = np.bincount(
-            codes[live], weights=weights[live].astype(np.float64),
-            minlength=num_groups,
-        )
-        expected = {int(c): int(dense[c]) for c in np.flatnonzero(dense)}
+        exact: dict[int, int] = {}
+        for c, w in zip(codes[live].tolist(), weights[live].tolist()):
+            exact[c] = exact.get(c, 0) + w
+        expected = {c: s for c, s in exact.items() if s}
         assert 0 < len(expected) < int(live.sum())
         assert aggregate(body) == expected
 

@@ -239,17 +239,27 @@ class TestPushdownMechanics:
         _, pipes = run_plan(off, lambda p: body(p, False))
         assert read_on < pipes[-1]._read_bytes
 
-    def test_filter_scratch_buffer_reused(self, rng, run_plan):
+    def test_filter_narrows_selection_vector(self, rng, run_plan):
         columns = {"lo_key": rng.integers(0, 50, 2 * TILE + 7)}
         engine = _make_engine(columns, {"lo_key": "gpu-for"})
 
         def body(p):
-            scratch = p._pad_scratch
+            expect = np.ones(p.n, dtype=bool)
             for _ in range(3):
-                p.filter(rng.random(p.n) < 0.5)
-                assert p._pad_scratch is scratch
-            # Padding rows past n never go live.
-            assert not scratch[p.n:].any()
+                keep = rng.random(p.n) < 0.3
+                p.filter(keep)
+                expect &= keep
+                assert np.array_equal(p.rows, np.flatnonzero(expect))
+                assert np.array_equal(p.mask, expect)
+                assert p.live_count == int(expect.sum())
+            # A live-row mask narrows the same way as a span-row one.
+            p.filter(p.live(np.arange(p.n)) % 2 == 0)
+            expect &= np.arange(p.n) % 2 == 0
+            assert np.array_equal(p.rows, np.flatnonzero(expect))
+            # Tile activity follows the surviving rows.
+            touched = np.zeros(p.tile_active.size, dtype=bool)
+            touched[np.flatnonzero(expect) // TILE] = True
+            assert np.array_equal(p.tile_active, touched)
 
         _, pipes = run_plan(engine, body)
         assert pipes[-1].n == engine.num_rows
