@@ -2,21 +2,24 @@
 
 On the modeled GPU, bit-packed data has no per-element addressability:
 a thread block touching any element loads and decodes its whole tile,
-and this module prices it that way.  (The host emulation can do better
-for GPU-FOR: a block header locates any value in two or three word reads,
-which is what :meth:`~repro.formats.base.TileCodec.gather_rows` does for
-the engine's sparse loads — but that is host wall time, not the §8
-kernel.)  The redeeming structure is the ``block_starts`` index — a
-tile's compressed bytes are locatable without decoding anything else, so
-a *sparse* access pattern only pays for the tiles it intersects.  Section 8 shows the consequences: below a
-selectivity of ``1/TILE`` compressed access is nearly free, above it the
-cost plateaus at one full decompression — which still undercuts
-uncompressed random access, whose 128-byte line granularity makes it read
-the whole column beyond selectivity ``1/32``.
+and this module prices every access that way (:func:`_touch_tiles`).
+The redeeming structure is the ``block_starts`` index — a tile's
+compressed bytes are locatable without decoding anything else, so a
+*sparse* access pattern only pays for the tiles it intersects.  Section 8
+shows the consequences: below a selectivity of ``1/TILE`` compressed
+access is nearly free, above it the cost plateaus at one full
+decompression — which still undercuts uncompressed random access, whose
+128-byte line granularity makes it read the whole column beyond
+selectivity ``1/32``.
 
-This module is the executable form of that argument:
-:func:`gather` fetches arbitrary row indices, :func:`filtered_scan`
-applies a predicate bitvector — both decode only the tiles they must.
+The host reads values through the codec's own routes, one call each:
+:func:`gather` fetches arbitrary row indices with
+:meth:`~repro.formats.base.TileCodec.gather_rows` (the row read the
+engine's sparse loads use: GPU-FOR locates each value from its block
+header, the other codecs decode the tiles the rows fall in), and
+:func:`filtered_scan` applies a predicate bitvector after one
+:meth:`~repro.formats.base.TileCodec.decode_tiles` over the touched
+tiles.  Both verify tile checksums where verification is on.
 """
 
 from __future__ import annotations
@@ -59,36 +62,6 @@ def _resolve(enc: EncodedColumn, codec: TileCodec | None) -> TileCodec:
     return codec
 
 
-def coalesce_tile_runs(tile_ids: np.ndarray) -> list[tuple[int, int]]:
-    """Group sorted tile ids into maximal ``[first, last)`` runs.
-
-    Adjacent requested tiles decode in one batched ``decode_range`` call
-    instead of one Python-level ``decode_tile`` call each — the same
-    amortization the paper's thread-block grid gets for free.
-    """
-    tile_ids = np.asarray(tile_ids, dtype=np.int64)
-    if tile_ids.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(tile_ids) > 1)
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.concatenate([breaks, [tile_ids.size - 1]])
-    return [
-        (int(tile_ids[s]), int(tile_ids[e]) + 1) for s, e in zip(starts, ends)
-    ]
-
-
-def _per_tile_bytes(codec: TileCodec, enc: EncodedColumn, tx: int) -> np.ndarray:
-    """Aligned read bytes per tile, from the codec's segment map."""
-    starts, lengths = codec.tile_segments(enc)
-    starts = starts.astype(np.int64)
-    lengths = lengths.astype(np.int64)
-    seg_bytes = np.zeros(starts.size, dtype=np.int64)
-    nz = lengths > 0
-    seg_bytes[nz] = ((starts[nz] + lengths[nz] - 1) // tx - starts[nz] // tx + 1) * tx
-    n_tiles = codec.num_tiles(enc)
-    return seg_bytes.reshape(-1, n_tiles).sum(axis=0)
-
-
 def _touch_tiles(
     enc: EncodedColumn,
     codec: TileCodec,
@@ -99,7 +72,7 @@ def _touch_tiles(
     """Price one kernel that loads and decodes the active tiles."""
     before = device.elapsed_ms
     res = codec.kernel_resources(enc)
-    per_tile = _per_tile_bytes(codec, enc, device.spec.transaction_bytes)
+    per_tile = codec.tile_read_bytes(enc, device.spec.transaction_bytes)
     tile_elems = codec.tile_elements(enc)
     touched = int(active.sum())
     with device.launch(
@@ -128,9 +101,9 @@ def gather(
 ) -> RandomAccessReport:
     """Fetch arbitrary row indices from a compressed column.
 
-    Only tiles containing at least one requested index are read from
-    global memory and decoded; the requested elements are then extracted
-    from the decoded tiles.
+    Priced as one kernel loading and decoding every tile that holds a
+    requested index; the values come from one
+    :meth:`~repro.formats.base.TileCodec.gather_rows` call.
 
     Args:
         enc: the compressed column.
@@ -144,22 +117,12 @@ def gather(
     """
     codec = _resolve(enc, codec)
     indices = np.asarray(indices, dtype=np.int64)
-    if indices.size and (indices.min() < 0 or indices.max() >= enc.count):
-        raise IndexError("gather index out of range")
-
-    tile_elems = codec.tile_elements(enc)
+    # Raises IndexError for a row outside the column before anything is priced.
+    values = codec.gather_rows(enc, indices).astype(enc.dtype, copy=False)
     n_tiles = codec.num_tiles(enc)
     active = np.zeros(n_tiles, dtype=bool)
-    tile_of = indices // tile_elems
-    active[np.unique(tile_of)] = True
-
+    active[indices // codec.tile_elements(enc)] = True
     ms = _touch_tiles(enc, codec, device, active, extra_read_bytes=indices.size * 8)
-
-    values = np.empty(indices.size, dtype=enc.dtype)
-    for t0, t1 in coalesce_tile_runs(np.flatnonzero(active)):
-        sel = (tile_of >= t0) & (tile_of < t1)
-        run_values = codec.decode_range(enc, t0, t1)
-        values[sel] = run_values[indices[sel] - t0 * tile_elems]
     return RandomAccessReport(
         values=values,
         simulated_ms=ms,
@@ -203,14 +166,9 @@ def filtered_scan(
     # The bitvector itself is read once (1 bit per row).
     ms = _touch_tiles(enc, codec, device, active, extra_read_bytes=enc.count // 8)
 
-    parts = []
-    for t0, t1 in coalesce_tile_runs(np.flatnonzero(active)):
-        run_values = codec.decode_range(enc, t0, t1)
-        run_mask = padded[t0 * tile_elems : t0 * tile_elems + run_values.size]
-        parts.append(run_values[run_mask])
-    values = (
-        np.concatenate(parts) if parts else np.zeros(0, dtype=enc.dtype)
-    )
+    # Only the column's last tile is short, and it is decoded last.
+    decoded = codec.decode_tiles(enc, np.flatnonzero(active))
+    values = decoded[padded.reshape(n_tiles, tile_elems)[active].reshape(-1)[: decoded.size]]
     return RandomAccessReport(
         values=values,
         simulated_ms=ms,

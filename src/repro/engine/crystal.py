@@ -22,8 +22,12 @@ Every fused query is driven by one executor,
 morsels over the surviving tiles of the engine's ``tile_span`` (the
 whole grid unless the engine serves one tile-range shard), then one
 priced fact kernel.  Without ``streaming`` the executor runs a single
-morsel spanning the whole span on the coordinator thread.  Only staged
-plans call the query function against the engine itself.
+morsel spanning the whole span on the coordinator thread.  Every
+morsel's column load takes the executor's one load route: a whole-column
+image if the engine holds one (:meth:`CrystalEngine.decoded_image`), else
+a batched decode of the live tiles (``decode_slice``) or, once few rows
+are live, a row read (``gather_slice``).  Only staged plans call the
+query function against the engine itself.
 """
 
 from __future__ import annotations
@@ -106,7 +110,7 @@ def group_sums(codes: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     int64 could overflow.
     """
     weights = np.asarray(weights)
-    bound = max(int(weights.max()), -int(weights.min())) if weights.size else 0
+    bound = _magnitude(weights)
     if bound * weights.size < _EXACT_FLOAT:
         return np.bincount(codes, weights=weights, minlength=size)
     order = np.argsort(codes, kind="stable")
@@ -116,6 +120,25 @@ def group_sums(codes: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     sums = np.zeros(size, dtype=dtype)
     sums[ordered[starts]] = np.add.reduceat(weights[order].astype(dtype), starts)
     return sums
+
+
+def exact_sum(a: np.ndarray, b: np.ndarray | None = None) -> int:
+    """``sum(a)``, or ``sum(a * b)``, of int64 arrays, exact.
+
+    Accumulates in int64 while ``bound * rows < 2**63`` (``bound`` is the
+    largest magnitude of a term) and in Python ints past that, the rule
+    :func:`group_sums` uses.
+    """
+    bound = _magnitude(a) * (1 if b is None else _magnitude(b))
+    if bound * a.size >= 2**63:
+        a = a.astype(object)
+        b = None if b is None else b.astype(object)
+    return int((a if b is None else a * b).sum())
+
+
+def _magnitude(values: np.ndarray) -> int:
+    """The largest ``|value|``, as a Python int (0 when empty)."""
+    return max(int(values.max()), -int(values.min())) if values.size else 0
 
 
 def codec_tile_activity(
@@ -141,7 +164,7 @@ def codec_tile_activity(
 
 
 def decode_active_tiles(
-    codec: TileCodec, enc, active, c0, out, mask=None, predicate=None, scratch=None
+    codec: TileCodec, enc, active, c0, out, mask, predicate, scratch
 ) -> int:
     """Decode codec tiles ``c0 + flatnonzero(active)`` with one codec call.
 
@@ -149,8 +172,8 @@ def decode_active_tiles(
     zero (``False`` in ``mask``).  With a ``predicate`` the decode is the
     codec's fused ``decode_filter_tiles_into`` and ``mask`` receives its
     row mask.  A fragmented batch is decoded into ``scratch(key, n, dtype)``
-    buffers (default: fresh arrays) and placed in one vectorized step;
-    only the column's last tile may be short.  Returns the values decoded.
+    buffers and placed in one vectorized step; only the column's last tile
+    may be short.  Returns the values decoded.
     """
     elems, n = codec.tile_elements(enc), active.size
     if active.all():
@@ -159,7 +182,6 @@ def decode_active_tiles(
         return codec.decode_filter_tiles_into(
             enc, np.arange(c0, c0 + n), predicate, out, mask
         )
-    scratch = scratch or (lambda key, size, dtype: np.empty(size, dtype=dtype))
     idx = np.flatnonzero(active)
     tiles, cap = idx + c0, idx.size * elems
     batch = scratch("batch", cap, np.int64)
@@ -239,10 +261,11 @@ class CrystalEngine:
         #: sized from the surviving tiles run on ``stream_workers``
         #: threads and decode column chunks into per-worker arenas.  Off,
         #: one morsel spans the whole tile span on the coordinator thread
-        #: and loads whole-column images (cached and reused across
-        #: queries).  Answers and simulated time are bit-identical either
-        #: way; only peak memory and wall clock differ.  Staged plans
-        #: ignore it.
+        #: and decodes into fresh arrays, keeping a column decoded whole
+        #: (every tile live) as its image for later queries.  Both load
+        #: through the same executor route, so answers and simulated time
+        #: are bit-identical either way; only peak memory and wall clock
+        #: differ.  Staged plans ignore it.
         self.streaming = streaming
         #: Worker threads the streaming executor runs morsels on.
         self.stream_workers = stream_workers
@@ -293,11 +316,10 @@ class CrystalEngine:
         #: kernel is priced over the span only, so per-shard work shrinks
         #: with the shard.
         self.tile_span = (int(lo), int(hi))
-        self._tile_bytes_cache: dict[str, np.ndarray] = {}
-        self._decoded_cache: dict[str, np.ndarray] = {}
-        self._bounds_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        # Morsel workers read these caches concurrently; the lock makes
-        # the fill-on-miss paths safe (the dicts only ever grow).
+        # Cached derivatives by pool key when no pool is attached (see
+        # _cache_get).  Morsel workers read it concurrently; the lock
+        # makes the fill-on-miss and drop paths safe.
+        self._cache: dict[str, object] = {}
         self._cache_lock = threading.Lock()
         self._staged = store.system == "omnisci"
         self._last_timeline: list[dict] = []
@@ -346,30 +368,45 @@ class CrystalEngine:
         reused across queries, like a device-resident decode buffer.
         """
         col = self.store[name]
-        if not self.inline_column(col):
-            return col.values
-        if self.pool is not None:
-            return self._pool_decoded(name, col)
-        cached = self._decoded_cache.get(name)
-        if cached is not None:
-            if self._cached_image_ok(col, cached):
-                return cached
-            with self._cache_lock:
-                self._decoded_cache.pop(name, None)
-        values = self._decode_column(col)
-        # setdefault under the lock: two racing workers may both decode,
-        # but every caller then sees the same image.
-        with self._cache_lock:
-            return self._decoded_cache.setdefault(name, values)
-
-    def _decode_column(self, col) -> np.ndarray:
+        image = self.decoded_image(name, col)
+        if image is not None:
+            return image
         if self.fault_hook is not None:
-            self.fault_hook(col.name)
+            self.fault_hook(name)
         codec = get_codec(col.codec_name)
         assert isinstance(codec, TileCodec)
-        enc = col.payload
-        with corruption_guard(col.name):
-            return codec.decode_range(enc, 0, codec.num_tiles(enc))
+        with corruption_guard(name):
+            values = codec.decode_range(col.payload, 0, codec.num_tiles(col.payload))
+        return self.cache_image(name, col, values)
+
+    def decoded_image(self, name: str, col: StoredColumn) -> np.ndarray | None:
+        """The whole-column image a load of ``col`` reads instead of decoding.
+
+        A column that is not inline-compressed is its own image.  An
+        inline one has an image when the tiering manager pinned one or a
+        whole-column decode was cached (:meth:`column_values`, or a
+        non-streaming load that found every tile live).  Under
+        :attr:`verify_cached` a cached image is first checked against the
+        column's CRC; a stale one is dropped and ``None`` returned, so the
+        caller decodes from the compressed payload.
+        """
+        if not self.inline_column(col):
+            return col.values
+        key = f"decoded/{name}"
+        image = self._cache_get(key)
+        if image is None or self._cached_image_ok(col, image):
+            return image
+        self._cache_drop(key)
+        return None
+
+    def cache_image(self, name: str, col: StoredColumn, values: np.ndarray) -> np.ndarray:
+        """Keep ``values``, the whole decoded ``col``, for later loads."""
+        cost_ms = 0.0
+        if self.pool is not None:
+            from repro.serving.pool import estimate_decode_cost_ms
+
+            cost_ms = estimate_decode_cost_ms(col.payload, self.device)
+        return self._cache_put(f"decoded/{name}", values, "decoded", cost_ms)
 
     def _cached_image_ok(self, col, values: np.ndarray) -> bool:
         """Whether a cached decoded image still matches its source CRC.
@@ -390,83 +427,58 @@ class CrystalEngine:
             self.metrics.inc("decoded_image_refreshes")
         return False
 
-    def _pool_decoded(self, name: str, col) -> np.ndarray:
-        """Serve the decoded image as an evictable pool resident."""
-        from repro.serving.pool import PoolAdmissionError, estimate_decode_cost_ms
+    # -- cached derivatives: decoded images, zone maps, per-tile traffic ----
 
-        key = f"decoded/{name}"
+    def _cache_get(self, key: str):
+        """The derivative cached under ``key`` (``decoded/``, ``bounds/`` or
+        ``tilemeta/`` plus a column name), or ``None``.
+
+        With a serving pool attached every derivative is an evictable pool
+        resident, so device capacity is enforced; otherwise it lives in
+        the engine's own dict.  A pool hit is counted and a miss is not:
+        most loads probe for an image they never expected (a streaming
+        engine decodes its chunks), and their probes would drown the hit
+        rate.
+        """
+        if self.pool is None:
+            return self._cache.get(key)
+        if self.pool.lookup(key) is None:
+            return None
         resident = self.pool.get(key)
-        if resident is not None:
-            if self._cached_image_ok(col, resident.payload):
-                return resident.payload
-            self.pool.invalidate(key)
-        values = self._decode_column(col)
+        return None if resident is None else resident.payload
+
+    def _cache_put(self, key: str, value, kind: str = "meta", cost_ms: float = 0.0):
+        """Cache ``value`` under ``key``; returns the value callers share."""
+        if self.pool is None:
+            # setdefault under the lock: two racing workers may both
+            # compute, but every caller then sees the same value.
+            with self._cache_lock:
+                return self._cache.setdefault(key, value)
+        from repro.serving.pool import PoolAdmissionError
+
+        arrays = value if isinstance(value, tuple) else (value,)
         try:
             self.pool.admit(
                 key,
-                values.nbytes,
-                kind="decoded",
-                payload=values,
-                reconstruct_cost_ms=estimate_decode_cost_ms(col.payload, self.device),
+                sum(a.nbytes for a in arrays),
+                kind=kind,
+                payload=value,
+                reconstruct_cost_ms=cost_ms,
             )
         except PoolAdmissionError:
-            pass  # image exceeds the whole budget: serve it uncached
-        return values
+            pass  # larger than the whole budget: serve it uncached
+        return value
 
-    def column_values_pruned(self, name: str, tile_active: np.ndarray) -> np.ndarray:
-        """Late-materialized column load: decode only the active tiles.
+    def _cache_drop(self, key: str) -> None:
+        with self._cache_lock:
+            self._cache.pop(key, None)
+        if self.pool is not None:
+            self.pool.invalidate(key)
 
-        Rows of pruned tiles are left zero-filled; the caller must make
-        sure its selection mask excludes them (pushdown only prunes a
-        tile when its bounds prove no row can match, so those rows are
-        dead by construction).  Partial images are never cached — the
-        cache holds only full decoded columns.
-        """
-        col = self.store[name]
-        if not self.inline_column(col):
-            return col.values
-        tile_active = np.asarray(tile_active, dtype=bool)
-        if tile_active.all():
-            return self.column_values(name)
-        cached = self._cached_full_image(name)
-        if cached is not None:
-            return cached
-        values, _ = self._decode_pruned(col, tile_active)
-        return values.astype(col.payload.dtype, copy=False)
-
-    def has_decoded_image(self, name: str) -> bool:
-        """Whether a full decoded image of ``name`` is cached (no pool
-        hit is counted: the load that then uses it counts its own)."""
-        if self.pool is None:
-            return name in self._decoded_cache
-        return self.pool.lookup(f"decoded/{name}") is not None
-
-    def _cached_full_image(self, name: str) -> np.ndarray | None:
-        """A cached full decoded image: strictly better than a re-decode."""
-        if self.pool is None:
-            return self._decoded_cache.get(name)
-        if self.pool.lookup(f"decoded/{name}") is None:
-            return None
-        resident = self.pool.get(f"decoded/{name}")
-        return None if resident is None else resident.payload
-
-    def _decode_pruned(self, col, tile_active: np.ndarray, predicate=None):
-        """Decode the codec tiles overlapping surviving engine tiles.
-
-        Returns ``(values, rowmask)`` over the whole column; ``rowmask``
-        is ``None`` without a ``predicate``.
-        """
-        codec, enc = get_codec(col.codec_name), col.payload
-        assert isinstance(codec, TileCodec)
-        elems, n_codec = codec.tile_elements(enc), codec.num_tiles(enc)
-        active = codec_tile_activity(tile_active, elems, 0, n_codec)
-        out = np.empty(n_codec * elems, dtype=np.int64)
-        mask = None if predicate is None else np.empty(out.size, dtype=np.bool_)
-        with corruption_guard(col.name):
-            written = decode_active_tiles(codec, enc, active, 0, out, mask, predicate)
-        if predicate is not None and active.any():
-            self.count_fused_kernel(written)
-        return out[: enc.count], None if mask is None else mask[: enc.count]
+    def _cached(self, key: str, compute: Callable[[], object]):
+        """The metadata cached under ``key``, computed on a miss."""
+        value = self._cache_get(key)
+        return value if value is not None else self._cache_put(key, compute())
 
     def fusion_allowed(self, enc) -> bool:
         """Whether fused decode+filter may serve this encoded column.
@@ -485,33 +497,6 @@ class CrystalEngine:
             self.metrics.inc("fused_decode_filter_kernels")
             self.metrics.inc("fused_decode_filter_rows", rows)
 
-    def column_values_filtered(
-        self, name: str, tile_active: np.ndarray, predicate
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Fused late-materialized load: decode + filter in one pass.
-
-        Like :meth:`column_values_pruned` but evaluates ``predicate``
-        *during* unpack via the codec's ``decode_filter_tiles_into``,
-        returning ``(values, rowmask)`` where ``rowmask`` marks the
-        qualifying rows over the whole span.  Values are only meaningful
-        where the mask is True.  Returns ``(values, None)`` — caller
-        must evaluate the predicate itself — whenever fusion cannot
-        apply: uncompressed columns, cached full decoded images (reusing
-        them beats re-decoding), or checksummed columns under active
-        verification (see :meth:`fusion_allowed`).
-        """
-        col = self.store[name]
-        if not self.inline_column(col):
-            return col.values, None
-        if not self.fusion_allowed(col.payload):
-            return self.column_values_pruned(name, tile_active), None
-        cached = self._cached_full_image(name)
-        if cached is not None:
-            return cached, None
-        return self._decode_pruned(
-            col, np.asarray(tile_active, dtype=bool), predicate
-        )
-
     def column_tile_bounds(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """Conservative per-engine-tile value bounds for a fact column.
 
@@ -521,30 +506,7 @@ class CrystalEngine:
         pool when one is attached, so they survive eviction of the much
         larger decoded images.
         """
-        if self.pool is not None:
-            key = f"bounds/{name}"
-            resident = self.pool.get(key)
-            if resident is not None:
-                return resident.payload
-            bounds = self._compute_tile_bounds(name)
-            from repro.serving.pool import PoolAdmissionError
-
-            try:
-                self.pool.admit(
-                    key,
-                    bounds[0].nbytes + bounds[1].nbytes,
-                    kind="meta",
-                    payload=bounds,
-                )
-            except PoolAdmissionError:
-                pass
-            return bounds
-        cached = self._bounds_cache.get(name)
-        if cached is not None:
-            return cached
-        bounds = self._compute_tile_bounds(name)
-        with self._cache_lock:
-            return self._bounds_cache.setdefault(name, bounds)
+        return self._cached(f"bounds/{name}", lambda: self._compute_tile_bounds(name))
 
     def _compute_tile_bounds(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         col = self.store[name]
@@ -624,21 +586,13 @@ class CrystalEngine:
         (only the tiles it needs, under pushdown) but never re-derives
         metadata.
         """
-        with self._cache_lock:
-            self._decoded_cache.clear()
-        if self.pool is not None:
-            for name in self.store.columns:
-                self.pool.invalidate(f"decoded/{name}")
+        for name in self.store.columns:
+            self._cache_drop(f"decoded/{name}")
 
     def invalidate_column(self, name: str) -> None:
         """Drop every cached derivative of a column (it was re-encoded)."""
-        with self._cache_lock:
-            self._decoded_cache.pop(name, None)
-            self._tile_bytes_cache.pop(name, None)
-            self._bounds_cache.pop(name, None)
-        if self.pool is not None:
-            for prefix in ("decoded/", "tilemeta/", "compressed/", "bounds/"):
-                self.pool.invalidate(prefix + name)
+        for kind in ("decoded", "tilemeta", "compressed", "bounds"):
+            self._cache_drop(f"{kind}/{name}")
         if self.semcache is not None:
             self.semcache.invalidate_column(name)
 
@@ -681,56 +635,23 @@ class CrystalEngine:
 
     def tile_read_bytes(self, name: str) -> np.ndarray:
         """Aligned global-memory bytes each engine tile reads for a column."""
-        if self.pool is not None:
-            key = f"tilemeta/{name}"
-            resident = self.pool.get(key)
-            if resident is not None:
-                return resident.payload
-            per_engine = self._compute_tile_read_bytes(name)
-            from repro.serving.pool import PoolAdmissionError
-
-            try:
-                self.pool.admit(
-                    key, per_engine.nbytes, kind="meta", payload=per_engine
-                )
-            except PoolAdmissionError:
-                pass
-            return per_engine
-        cached = self._tile_bytes_cache.get(name)
-        if cached is not None:
-            return cached
-        per_engine = self._compute_tile_read_bytes(name)
-        with self._cache_lock:
-            return self._tile_bytes_cache.setdefault(name, per_engine)
+        return self._cached(f"tilemeta/{name}", lambda: self._compute_tile_read_bytes(name))
 
     def _compute_tile_read_bytes(self, name: str) -> np.ndarray:
         col = self.store[name]
+        tx = self.device.spec.transaction_bytes
         # A hot column with a pinned decoded image reads plain 4-byte
         # rows — the tier invalidation that installs or removes the pin
         # also drops this cached metadata, so the two views stay coherent.
         if self.inline_column(col) and self.pinned_decoded(name) is None:
             codec = get_codec(col.codec_name)
             assert isinstance(codec, TileCodec)
-            enc = col.payload
-            starts, lengths = codec.tile_segments(enc)
-            tx = self.device.spec.transaction_bytes
-            starts = starts.astype(np.int64)
-            lengths = lengths.astype(np.int64)
-            nz = lengths > 0
-            seg_bytes = np.zeros(starts.size, dtype=np.int64)
-            seg_bytes[nz] = (
-                (starts[nz] + lengths[nz] - 1) // tx - starts[nz] // tx + 1
-            ) * tx
-            codec_tiles = codec.num_tiles(enc)
-            per_codec_tile = seg_bytes.reshape(-1, codec_tiles).sum(axis=0)
-            per_engine = self._regroup_tiles(per_codec_tile, codec.tile_elements(enc))
-        else:
-            per_engine = np.full(
-                self.num_tiles, linear_bytes(TILE * 4, self.device.spec.transaction_bytes),
-                dtype=np.int64,
+            return self._regroup_tiles(
+                codec.tile_read_bytes(col.payload, tx), codec.tile_elements(col.payload)
             )
-            tail = self.num_rows - (self.num_tiles - 1) * TILE
-            per_engine[-1] = linear_bytes(tail * 4, self.device.spec.transaction_bytes)
+        per_engine = np.full(self.num_tiles, linear_bytes(TILE * 4, tx), dtype=np.int64)
+        tail = self.num_rows - (self.num_tiles - 1) * TILE
+        per_engine[-1] = linear_bytes(tail * 4, tx)
         return per_engine
 
     def _regroup_tiles(self, per_codec_tile: np.ndarray, codec_tile_elems: int) -> np.ndarray:
@@ -1015,8 +936,8 @@ class FactPipeline:
     between operators.  In ``fused`` mode (Crystal) every call
     accumulates traffic/compute for the single fact kernel the streaming
     executor prices; the executor's plan and morsel pipelines subclass
-    this one and supply the fused loads (``_tile_read_bytes``,
-    ``_column_slice``, ``_column_slice_filtered`` and the sparse
+    this one and supply the fused loads (``_tile_read_bytes``, the dense
+    ``_column_slice``, with or without a fused predicate, and the sparse
     ``_column_rows``).
 
     The selection is a sorted vector of the span's live rows (``None``
@@ -1142,9 +1063,9 @@ class FactPipeline:
         if inline and self.live_count < self.n * SPARSE_GATHER_FRACTION:
             values = self._column_rows(name, col)
         elif pending:
-            values, rowmask = self._column_slice_filtered(name, pred)
+            values, rowmask = self._column_slice(name, col, pred)
         else:
-            return self._column_slice(name)
+            return self._column_slice(name, col)
         if pending:
             self._narrow(
                 pred.row_mask(self.live(values))
@@ -1293,22 +1214,22 @@ class FactPipeline:
         return {int(c): int(s) for c, s in zip(codes_out.tolist(), sums[nz].tolist())}
 
     def total_sum(self, values: np.ndarray) -> dict[int, int]:
-        """Ungrouped ``sum(values)`` over live rows (query flight 1)."""
+        """Ungrouped ``sum(values)`` over live rows (query flight 1), exact
+        for any int64 values."""
         self._account_aggregate(num_groups=1)
-        values = self.live(values).astype(np.int64, copy=False)
-        return {0: int(values.sum())}
+        return {0: exact_sum(self.live(values).astype(np.int64, copy=False))}
 
     def total_sum_product(self, a: np.ndarray, b: np.ndarray) -> dict[int, int]:
         """Ungrouped ``sum(a*b)`` over live rows (the flight-1 aggregate).
 
         The fused kernel forms the product inside its aggregation loop,
         so the host side multiplies only the selected rows instead of
-        materializing a full product column.
+        materializing a full product column.  Exact for any int64 inputs.
         """
         self._account_aggregate(num_groups=1)
         lhs = self.live(a).astype(np.int64, copy=False)
         rhs = self.live(b).astype(np.int64, copy=False)
-        return {0: int((lhs * rhs).sum())}
+        return {0: exact_sum(lhs, rhs)}
 
     def _account_aggregate(self, num_groups: int) -> None:
         """Traffic/compute bookkeeping shared by the sum aggregates."""

@@ -16,14 +16,18 @@ it every plan except the staged OmniSci baseline.
    Each morsel re-runs the query function against a morsel-scoped
    pipeline (lookups are replayed, so dimension filters never re-run)
    that loads only its own chunk of each needed column, then filters,
-   probes and accumulates partial aggregates over just those rows.  A
-   streaming engine sizes morsels from the surviving tiles (or cuts a
-   pinned ``morsel_tiles``) and decodes each chunk's live codec tiles in
-   one batched codec call into a per-worker
+   probes and accumulates partial aggregates over just those rows.
+   Every load takes one route: a slice of a whole-column image when the
+   engine holds one, else :meth:`TileStreamExecutor.decode_slice`
+   (the chunk's live codec tiles in one batched codec call, optionally
+   fused with a filter) or, once few rows are live,
+   :meth:`TileStreamExecutor.gather_slice` (one row read).  A streaming
+   engine sizes morsels from the surviving tiles (or cuts a pinned
+   ``morsel_tiles``) and loads into a per-worker
    :class:`~repro.formats.base.DecodeArena`, so steady state allocates
-   nothing.  A non-streaming engine runs one morsel
-   spanning the whole grid, which loads the engine's whole-column
-   images (cached across queries) instead of arena chunks.
+   nothing.  A non-streaming engine runs one morsel spanning its whole
+   tile span and loads into fresh arrays; a column it decoded whole
+   becomes the engine's image, reused until ``evict_decoded``.
 3. Partials are merged **in deterministic morsel order** with exact
    integer arithmetic, so answers are bit-identical at any morsel count
    and worker count; one fused fact kernel is then priced from the plan
@@ -128,6 +132,11 @@ MIN_MORSEL_TILES = 64
 MORSEL_ALIGN_TILES = 8
 
 
+def _fresh_buffer(key: str, elements: int, dtype=np.int64) -> np.ndarray:
+    """:meth:`DecodeArena.scratch` for loads that keep no arena."""
+    return np.empty(elements, dtype=dtype)
+
+
 @dataclass(frozen=True)
 class Morsel:
     """One contiguous chunk of the fact table's tile grid."""
@@ -174,7 +183,7 @@ class _PlanPipeline(FactPipeline):
         self.engine.tile_read_bytes(name)
         return np.zeros(0, dtype=np.int64)
 
-    def _column_slice(self, name: str) -> np.ndarray:
+    def _column_slice(self, name, col, predicate=None):
         return np.zeros(0, dtype=np.int64)
 
     def load(self, name: str) -> np.ndarray:
@@ -236,10 +245,9 @@ class _MorselPipeline(FactPipeline):
 
     Inherits the plan pass's surviving tile set and records which
     aggregate ops ran so the executor knows how to merge the partial
-    results.  On a streaming engine it decodes column chunks into the
-    worker's arena; otherwise its morsel spans the whole grid and it
-    loads the engine's column images (fresh or cached full decodes,
-    CRC-verified under ``verify_cached``).
+    results.  Every load goes through the executor: dense ones through
+    :meth:`TileStreamExecutor.decode_slice`, sparse ones through
+    :meth:`TileStreamExecutor.gather_slice`.
     """
 
     def __init__(self, executor: "TileStreamExecutor", name: str, morsel: Morsel):
@@ -266,40 +274,13 @@ class _MorselPipeline(FactPipeline):
         m = self._morsel
         return self.engine.tile_read_bytes(name)[m.tile_lo : m.tile_hi]
 
-    def _column_slice(self, name: str) -> np.ndarray:
-        m = self._morsel
-        if not self.engine.streaming:
-            return self.engine.column_values_pruned(name, self.tile_active)
-        pinned = self.engine.pinned_decoded(name)
-        if pinned is not None:
-            return pinned[m.row_lo : m.row_hi]
-        # One snapshot decides the branch: a racing atomic tier swap must
-        # never pair an inline verdict with the other image's payload.
-        col = self.engine.store[name]
-        if self.engine.inline_column(col):
-            return self._executor.decode_slice(name, m, self.tile_active, col=col)
-        return col.values[m.row_lo : m.row_hi]
+    def _column_slice(self, name, col, predicate=None):
+        return self._executor.decode_slice(
+            name, self._morsel, self.tile_active, col, predicate
+        )
 
     def _column_rows(self, name, col):
-        """Sparse load: the live rows' values, read row by row.
-
-        A whole-grid morsel whose engine still holds the column's decoded
-        image reads that instead, as :meth:`_column_slice` would.
-        """
-        if not self.engine.streaming and self.engine.has_decoded_image(name):
-            return self.engine.column_values_pruned(name, self.tile_active)
         return self._executor.gather_slice(name, self._morsel, self.rows, col)
-
-    def _column_slice_filtered(self, name, predicate):
-        """Fused decode+filter load: ``(values, rowmask)``, or
-        ``(values, None)`` when fusion cannot apply (cached image,
-        checksummed column under active verification, ...) and the
-        caller must evaluate the predicate itself."""
-        if not self.engine.streaming:
-            return self.engine.column_values_filtered(name, self.tile_active, predicate)
-        return self._executor.decode_slice(
-            name, self._morsel, self.tile_active, predicate=predicate
-        )
 
     # -- aggregate-op recording (drives the deterministic merge) ----------
 
@@ -522,44 +503,66 @@ class TileStreamExecutor:
         share = max(0, max_bytes) // len(arenas)
         return sum(arena.trim(share) for arena in arenas)
 
+    def _scratch(self):
+        """Where a morsel's loads land: the worker's :class:`DecodeArena`
+        on a streaming engine, fresh arrays otherwise (arena slots the
+        size of whole columns, pinned by the coordinator, raised the
+        ``scan-cold`` benchmark's peak RSS)."""
+        if self.engine.streaming:
+            return self._arena().scratch
+        return _fresh_buffer
+
+    def _load_source(self, name: str, morsel: Morsel, col):
+        """``(slice, None)`` when a whole-column image serves a morsel's
+        load (:meth:`CrystalEngine.decoded_image`), else ``(None, codec)``
+        once the engine's ``fault_hook`` has seen the column: every load
+        from the compressed source announces it."""
+        image = self.engine.decoded_image(name, col)
+        if image is not None:
+            return image[morsel.row_lo : morsel.row_hi], None
+        if self.engine.fault_hook is not None:
+            self.engine.fault_hook(name)
+        codec = get_codec(col.codec_name)
+        assert isinstance(codec, TileCodec)
+        return None, codec
+
     def decode_slice(
         self,
         name: str,
         morsel: Morsel,
         tile_active: np.ndarray,
+        col,
         predicate=None,
-        col=None,
     ):
-        """Decode one column's chunk for a morsel into the worker's arena.
+        """Load one column's chunk for a morsel: the dense load route.
 
-        Covers the codec tiles overlapping ``[row_lo, row_hi)``; codec
-        tiles whose engine tiles were all pruned stay zero-filled (their
-        rows are dead in the morsel's mask by construction).  Returns a
-        view of exactly the morsel's rows.
+        Returns a view of exactly the morsel's rows.  A whole-column image
+        (an uncompressed column's values, a pinned image or a cached
+        decode) is sliced.  Otherwise the codec tiles overlapping
+        ``[row_lo, row_hi)`` are decoded with one batched codec call into
+        :meth:`_scratch`; codec tiles whose engine tiles were all pruned
+        stay zero-filled (their rows are dead in the morsel's selection by
+        construction).  A non-streaming engine keeps a decode that covered
+        the whole column with every codec tile live as the column's image,
+        so later queries reuse it until :meth:`CrystalEngine.evict_decoded`.
 
         With a ``predicate``, the filter is fused into the decode via the
         codec's ``decode_filter_tiles_into`` and the return value becomes
         ``(values, rowmask)`` views — or ``(values, None)`` when fusion
-        cannot apply (checksummed column under active verification), in
-        which case the caller evaluates the predicate itself.
+        does not apply (an image was sliced, or a checksummed column under
+        active verification), in which case the caller evaluates the
+        predicate itself.
 
-        ``col`` pins the caller's :class:`StoredColumn` snapshot so one
-        object serves both the inline check and the decode; without it a
-        fresh snapshot is taken here.  Either way a column that is no
-        longer tile-encoded (a racing tier swap published an uncompressed
-        or cold image) degrades to a plain values slice — bit-identical
-        by the swap's contract, never a torn decode.
+        ``col`` is the caller's :class:`StoredColumn` snapshot, so one
+        object serves both the inline check and the decode: a column that
+        is no longer tile-encoded (a racing tier swap published an
+        uncompressed or cold image) is sliced like any image —
+        bit-identical by the swap's contract, never a torn decode.
         """
-        if col is None:
-            col = self.engine.store[name]
         want_mask = predicate is not None
-        if not col.codec_name:
-            vals = col.values[morsel.row_lo : morsel.row_hi]
+        vals, codec = self._load_source(name, morsel, col)
+        if codec is None:
             return (vals, None) if want_mask else vals
-        if self.engine.fault_hook is not None:
-            self.engine.fault_hook(name)
-        codec = get_codec(col.codec_name)
-        assert isinstance(codec, TileCodec)
         enc = col.payload
         if want_mask and not self.engine.fusion_allowed(enc):
             predicate = None
@@ -567,51 +570,46 @@ class TileStreamExecutor:
         r0, r1 = morsel.row_lo, morsel.row_hi
         c0 = r0 // elems
         c1 = min(-(-r1 // elems), codec.num_tiles(enc))
-        arena = self._arena()
+        scratch = self._scratch()
         cap = (c1 - c0) * elems
-        view = arena.scratch(name, cap)[:cap]
+        view = scratch(name, cap)[:cap]
         mview = None
         if predicate is not None:
-            mview = arena.scratch(f"mask/{name}", cap, dtype=np.bool_)[:cap]
+            mview = scratch(f"mask/{name}", cap, np.bool_)[:cap]
         active = codec_tile_activity(tile_active, elems, c0, c1, morsel.tile_lo)
         with _morsel_guard(name, morsel):
             fused_rows = decode_active_tiles(
-                codec, enc, active, c0, view, mview, predicate, arena.scratch
+                codec, enc, active, c0, view, mview, predicate, scratch
             )
         off = r0 - c0 * elems
         vals = view[off : off + (r1 - r0)]
-        if not want_mask:
-            return vals
-        if mview is None:
-            return vals, None
-        self.engine.count_fused_kernel(fused_rows)
-        return vals, mview[off : off + (r1 - r0)]
+        if mview is not None:
+            self.engine.count_fused_kernel(fused_rows)
+            return vals, mview[off : off + (r1 - r0)]
+        if not self.engine.streaming and r1 - r0 == enc.count and active.all():
+            vals = self.engine.cache_image(name, col, vals)
+        return (vals, None) if want_mask else vals
 
     def gather_slice(
         self, name: str, morsel: Morsel, rows: np.ndarray, col
     ) -> np.ndarray:
-        """Read a morsel's live ``rows`` of one column, row by row.
+        """Read a morsel's live ``rows`` of one column: the sparse load route.
 
-        The sparse counterpart of :meth:`decode_slice`, returning a view
-        of the morsel's rows in which only ``rows`` (morsel-relative)
-        hold values.  A streaming engine gathers into the worker's arena,
-        in the buffer and at the offset :meth:`decode_slice` uses for the
-        column, so a column holds one arena buffer whichever route loads
-        it.  The whole-grid morsel of a non-streaming engine gathers into
-        a fresh array, as its dense loads decode into fresh images.
-        ``col`` is the caller's :class:`StoredColumn` snapshot,
-        tile-encoded.
+        Returns a view of the morsel's rows in which only ``rows``
+        (morsel-relative) hold values.  A whole-column image is sliced, as
+        :meth:`decode_slice` would; otherwise one
+        :meth:`TileCodec.gather_rows` call reads the rows into the
+        :meth:`_scratch` buffer :meth:`decode_slice` uses for the column,
+        at the same offset, so a column holds one arena buffer whichever
+        route loads it.  ``col`` is the caller's :class:`StoredColumn`
+        snapshot.
         """
-        if self.engine.fault_hook is not None:
-            self.engine.fault_hook(name)
-        codec = get_codec(col.codec_name)
-        assert isinstance(codec, TileCodec)
+        vals, codec = self._load_source(name, morsel, col)
+        if codec is None:
+            return vals
         n = morsel.row_hi - morsel.row_lo
-        if self.engine.streaming:
-            off = morsel.row_lo % codec.tile_elements(col.payload)
-            view = self._arena().scratch(name, off + n)[off : off + n]
-        else:
-            view = np.empty(n, dtype=np.int64)
+        off = morsel.row_lo % codec.tile_elements(col.payload)
+        view = self._scratch()(name, off + n)[off : off + n]
         with _morsel_guard(name, morsel):
             view[rows] = codec.gather_rows(col.payload, rows + morsel.row_lo)
         return view

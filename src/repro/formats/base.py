@@ -853,6 +853,18 @@ class TileCodec(ColumnCodec):
             block starts, per-tile metadata).
         """
 
+    def tile_read_bytes(self, enc: EncodedColumn, transaction_bytes: int) -> np.ndarray:
+        """Global-memory bytes each tile reads, in whole ``transaction_bytes``
+        transactions (the sum over its :meth:`tile_segments`)."""
+        starts, lengths = self.tile_segments(enc)
+        starts = starts.astype(np.int64)
+        lengths = lengths.astype(np.int64)
+        tx = transaction_bytes
+        seg_bytes = np.zeros(starts.size, dtype=np.int64)
+        nz = lengths > 0
+        seg_bytes[nz] = ((starts[nz] + lengths[nz] - 1) // tx - starts[nz] // tx + 1) * tx
+        return seg_bytes.reshape(-1, self.num_tiles(enc)).sum(axis=0)
+
     @abc.abstractmethod
     def kernel_resources(self, enc: EncodedColumn) -> KernelResources:
         """Resource footprint of the tile decode device function."""

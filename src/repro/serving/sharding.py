@@ -147,8 +147,8 @@ class ShardRouter:
     byte budget of **each** shard's pool (default: the device spec's
     global memory); ``replicate_columns`` are pinned in full on every
     shard.  ``streaming`` picks the shard engines' execution style;
-    more than one shard requires it, because a non-streaming engine
-    loads whole-column images rather than its span's tiles.  The
+    more than one shard requires it, so that shards run their morsels
+    on worker threads rather than one whole-span morsel each.  The
     router's :attr:`elapsed_ms` is the simulated clock of everything
     routed through it (slowest selected shard per query, plus
     interconnect merges).
@@ -589,7 +589,7 @@ class ShardRouter:
 
         The one per-device lookup: a hot column's pinned decoded image
         serves a plain coalesced gather, an inline-compressed column a
-        tile-coalesced :func:`~repro.core.random_access.gather`, and
+        :func:`~repro.core.random_access.gather` (priced per touched tile), and
         anything else one coalesced element per index (after the cold
         tier's unspill + cascade-decode prologue).
         """

@@ -103,6 +103,24 @@ class TestGroupAggregate:
         assert 0 < len(expected) < int(live.sum())
         assert aggregate(body) == expected
 
+    @pytest.mark.parametrize("live", (4, None))  # four rows, every row
+    @pytest.mark.parametrize(
+        "lhs, rhs", ((2**62, None), (2**40, 2**23)), ids=("sum", "sum-product")
+    )
+    def test_ungrouped_sums_are_exact(self, aggregate, ssb_db, lhs, rhs, live):
+        # Both sums pass 2**63 (the product already does per row), where
+        # int64 accumulation would wrap.
+        def body(p):
+            if live is not None:
+                p.filter(np.arange(p.n) < live)
+            a = np.full(p.n, lhs, dtype=np.int64)
+            if rhs is None:
+                return p.total_sum(a)
+            return p.total_sum_product(a, np.full(p.n, rhs, dtype=np.int64))
+
+        rows = ssb_db.num_lineorder_rows if live is None else live
+        assert aggregate(body) == {0: rows * lhs * (rhs or 1)}
+
     def test_empty_selection(self, aggregate):
         def body(p):
             quantity = p.load("lo_quantity")

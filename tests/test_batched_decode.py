@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.random_access import coalesce_tile_runs
 from repro.formats.base import (
     compact_tile_chunks_inplace,
     ragged_arange,
@@ -186,11 +185,3 @@ class TestHelpers:
         kept = compact_tile_chunks_inplace(out, chunk_lens, keep_lens)
         assert np.array_equal(out[:kept], expect)
 
-    def test_coalesce_tile_runs(self):
-        assert coalesce_tile_runs(np.array([0, 1, 2, 5, 6, 9])) == [
-            (0, 3),
-            (5, 7),
-            (9, 10),
-        ]
-        assert coalesce_tile_runs(np.zeros(0, dtype=np.int64)) == []
-        assert coalesce_tile_runs(np.array([4])) == [(4, 5)]

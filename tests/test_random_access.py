@@ -10,8 +10,22 @@ from repro.core.random_access import (
     gather,
     uncompressed_filtered_scan_ms,
 )
-from repro.formats import get_codec
+from repro.formats import CorruptTileError, get_codec, set_checksums
+from repro.formats.registry import codec_names, is_tile_codec
 from repro.gpusim import GPUDevice, V100
+
+TILE_CODECS = [name for name in codec_names() if is_tile_codec(name)]
+
+#: (gather ms, gather tiles, filtered-scan ms, filtered-scan tiles) for rows
+#: 3, 2002, 4001, ... of :func:`_runs_column`: Section 8's whole-tile
+#: pricing, which does not depend on how the host reads the rows.
+PINNED = {
+    "gpu-bp": (0.005010362, 6, 0.005010362, 6),
+    "gpu-dfor": (0.005016698, 6, 0.005016698, 6),
+    "gpu-for": (0.005013626, 6, 0.005013626, 6),
+    "gpu-rfor": (0.0050312, 6, 0.0050312, 6),
+    "gpu-simdbp128": (0.005060276363636364, 3, 0.005062370909090909, 3),
+}
 
 
 @pytest.fixture
@@ -84,6 +98,70 @@ class TestGather:
         idx = np.array(indices, dtype=np.int64)
         report = gather(enc, idx, GPUDevice())
         assert np.array_equal(report.values, column[idx])
+
+
+def _runs_column():
+    """10,007 int32 values in short runs: every tile codec encodes it, and
+    its last tile is short for every tile size."""
+    rng = np.random.default_rng(2022)
+    values = np.repeat(rng.integers(0, 5000, 4000), rng.integers(1, 6, 4000))
+    return values[:10_007].astype(np.int32)
+
+
+def _index_sets(n):
+    unsorted = np.random.default_rng(5).integers(0, n, 300)  # with repeats
+    return {
+        "empty": np.zeros(0, dtype=np.int64),
+        "single": np.array([n // 2]),
+        "unsorted": np.concatenate([unsorted, unsorted[:50], [n - 1]]),
+        "all": np.arange(n),
+    }
+
+
+@pytest.mark.parametrize("codec_name", TILE_CODECS)
+class TestEveryTileCodec:
+    @pytest.mark.parametrize("which", ("empty", "single", "unsorted", "all"))
+    def test_values_match_decode(self, codec_name, which):
+        codec = get_codec(codec_name)
+        enc = codec.encode(_runs_column())
+        truth = codec.decode(enc)
+        idx = _index_sets(enc.count)[which]
+        got = gather(enc, idx, GPUDevice()).values
+        assert got.dtype == truth.dtype
+        assert np.array_equal(got, truth[idx])
+        mask = np.zeros(enc.count, dtype=bool)
+        mask[idx] = True
+        got = filtered_scan(enc, mask, GPUDevice()).values
+        assert got.dtype == truth.dtype
+        assert np.array_equal(got, truth[mask])
+
+    def test_pricing_pinned(self, codec_name):
+        enc = get_codec(codec_name).encode(_runs_column())
+        rows = np.arange(3, enc.count, 1999)
+        mask = np.zeros(enc.count, dtype=bool)
+        mask[rows] = True
+        g = gather(enc, rows, GPUDevice())
+        f = filtered_scan(enc, mask, GPUDevice())
+        ms_g, tiles_g, ms_f, tiles_f = PINNED[codec_name]
+        assert (repr(g.simulated_ms), g.tiles_touched) == (repr(ms_g), tiles_g)
+        assert (repr(f.simulated_ms), f.tiles_touched) == (repr(ms_f), tiles_f)
+
+
+    def test_checksums_verified(self, codec_name):
+        codec = get_codec(codec_name)
+        previous = set_checksums(True)
+        try:
+            enc = codec.encode(_runs_column())
+        finally:
+            set_checksums(previous)
+        enc.meta["tile_crcs"][1] ^= 1  # tile 1 no longer matches its CRC
+        row = codec.tile_elements(enc) + 1
+        mask = np.zeros(enc.count, dtype=bool)
+        mask[row] = True
+        with pytest.raises(CorruptTileError, match="checksum"):
+            gather(enc, np.array([row]), GPUDevice())
+        with pytest.raises(CorruptTileError, match="checksum"):
+            filtered_scan(enc, mask, GPUDevice())
 
 
 class TestFilteredScan:

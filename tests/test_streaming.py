@@ -290,9 +290,9 @@ class TestStreamingBitIdentity:
         query = _checkerboard_query(8 if codec_name == "gpu-simdbp128" else 1,
                                     ssb_db.num_lineorder_rows)
         CrystalEngine(ssb_db, store).run(query)
-        # Fragmented column loads (row_id's full-grid load decodes via
-        # the allocating decode_range) are one call each.
-        assert len(calls) == 3 and max(calls.values()) == 1, calls
+        # Every column load of the whole-grid morsel, fragmented or
+        # full-grid (row_id), is one call.
+        assert len(calls) == 4 and max(calls.values()) == 1, calls
         calls.clear()
         engine = CrystalEngine(ssb_db, store, streaming=True, stream_workers=1)
         engine.run(query)
