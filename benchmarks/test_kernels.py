@@ -282,7 +282,7 @@ def test_kernel_backend_speedup(benchmark):
     assert stream["groups"] == mat["groups"]
 
     summary = {
-        "kernel_backends": kernels.capability_report(),
+        "kernel_backend": kernels.backend_name(),
         "elements": KERNEL_N,
         "decode_cells": cells,
         "best_speedup": max(c["speedup"] for c in cells),

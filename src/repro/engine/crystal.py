@@ -278,8 +278,7 @@ class CrystalEngine:
         # the precompiled shift-table plans).
         if kernel_backend is not None:
             kernels.set_backend(kernel_backend)
-        #: Resolved backend name actually serving this engine's decodes
-        #: (may differ from the request when e.g. numba is absent).
+        #: Resolved backend name actually serving this engine's decodes.
         self.kernel_backend = kernels.backend_name()
         #: Optional serving MetricsRegistry receiving per-morsel timings
         #: and the peak decoded-bytes gauge (set by the QueryServer).

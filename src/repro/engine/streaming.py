@@ -48,14 +48,17 @@ at least :data:`MIN_MORSEL_TILES` each.  A morsel may span a dead gap
 between clusters of surviving tiles: its dead rows cost less than a
 second morsel's fixed part.
 
-Which calls hold the GIL decides what a second worker can gain.  Timed on
-a 2-vCPU host over 600k-row int64 arrays, two threads each running half
-the calls against one thread running all of them: ``np.repeat`` (1.02x),
-a ufunc writing with ``casting="unsafe"`` (1.01x) and a plain ``copy``
-(1.07x) ran no faster on two threads; a fancy index over a strided
-window matrix like the shift-table unpack's reached 1.3x; ``np.where``
-(1.92x) and ``cumsum`` (1.89x) nearly doubled.  RLE run expansion and
-the bit-unpack gathers are made of the first kind.
+What a second worker can gain is bounded by the host more than by the
+GIL.  On a 2-vCPU host, two threads each running half the calls against
+one thread running all of them, a single call's speedup swung from 1.0x
+to 2.0x between runs, even for GIL-free C code, with other load on the
+host.  Keeping only trials in which a GIL-free, latency-bound C loop
+first scaled at least 1.8x, ``np.repeat``, ``unpack_bits``, boolean
+compaction and ``take`` reached a median of 1.6-1.9x, so RLE run
+expansion and the bit-unpack gathers do release the GIL.  A GIL-free C
+bit-unpack loop on L2-resident data scaled only 1.3x: for
+throughput-bound code the two vCPUs act like SMT siblings, so about 1.3x
+is the ceiling for decode-bound morsels on such a host.
 
 The calling thread drains morsels too, rather than idling on futures.
 glibc gives each thread that allocates its own malloc arena and keeps

@@ -42,7 +42,6 @@ from repro.formats.io import load_encoded, save_encoded
 from repro.formats.kernels import (
     BACKEND_NAMES,
     backend_name,
-    capability_report,
     get_backend,
     set_backend,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "CascadePass",
     "ColumnCodec",
     "backend_name",
-    "capability_report",
     "get_backend",
     "set_backend",
     "Delta",

@@ -362,7 +362,7 @@ def clamp_interval(lo: int, hi: int, bound: int = 2**34) -> tuple[int, int]:
 def compact_tile_chunks_inplace(
     out: np.ndarray, chunk_lens: np.ndarray, keep_lens: np.ndarray
 ) -> int:
-    """In-place counterpart of :func:`trim_tile_chunks` for out-buffer decode.
+    """Drop the block padding from a batch decoded into ``out``.
 
     ``out[:sum(chunk_lens)]`` holds concatenated block-padded tile chunks;
     on return ``out[:kept]`` holds each tile's first ``keep_lens[i]``
@@ -452,33 +452,22 @@ class DecodeArena:
         self.trim(0)
 
 
-def trim_tile_chunks(
-    values: np.ndarray, chunk_lens: np.ndarray, keep_lens: np.ndarray
-) -> np.ndarray:
-    """Keep the first ``keep_lens[i]`` elements of each concatenated chunk.
-
-    ``values`` is the concatenation of per-tile decoded chunks of
-    ``chunk_lens[i]`` elements (block-padded); the survivors are each
-    tile's logical elements, with the final tile's padding dropped.
-    """
-    chunk_lens = np.asarray(chunk_lens, dtype=np.int64)
-    keep_lens = np.asarray(keep_lens, dtype=np.int64)
-    if int(chunk_lens.sum()) != values.size:
-        raise ValueError("chunk lengths do not cover the decoded values")
-    if np.array_equal(chunk_lens[:-1], keep_lens[:-1]):
-        # Padding only in the tail chunk (any contiguous tile range — only
-        # the column's last tile is ever short): the values are a prefix.
-        return values[: int(keep_lens.sum())]
-    within = ragged_arange(chunk_lens)
-    return values[within < np.repeat(keep_lens, chunk_lens)]
-
-
 class TileCodec(ColumnCodec):
     """A codec with the two tile properties of Section 3.
 
     Tiles are groups of ``d_blocks`` format blocks; a tile is decoded
     entirely in shared memory by one thread block, optionally inline with
     query execution.
+
+    Each codec implements exactly one value decoder,
+    :meth:`decode_tiles_into` (the paper's per-scheme tile device
+    function, run over a batch of tiles into caller scratch); ``decode``,
+    ``decode_tile``, ``decode_tiles``, ``decode_range`` and
+    ``decode_range_into`` all derive from it here, so bounds checks,
+    metadata validation, checksum verification and the output dtype are
+    the same on every route.  ``decode_filter_tiles_into`` (fused
+    decode+filter, which may skip blocks) and ``gather_rows`` are the
+    other decode-side operations a codec may override.
 
     **Empty-column contract:** an empty column encodes to zero tiles
     (``num_tiles == 0``), decodes back to an empty array of the original
@@ -645,34 +634,54 @@ class TileCodec(ColumnCodec):
                 seen[t] = True
 
     @abc.abstractmethod
-    def decode_tile(self, enc: EncodedColumn, tile_idx: int) -> np.ndarray:
-        """Decode one tile's values (the device-function equivalent).
+    def decode_tiles_into(
+        self, enc: EncodedColumn, tile_indices: np.ndarray, out: np.ndarray
+    ) -> int:
+        """Decode a batch of tiles into a caller-provided scratch buffer.
 
-        The last tile may be shorter than :meth:`tile_elements`.
+        The codec's one value decoder — the device function one thread
+        block runs per tile, launched over the whole batch — from which
+        every other decode entry point derives.  Values land in ``out``
+        (always as ``int64``, the engine's working dtype) and the codec
+        allocates no output of its own.  ``out`` must be a 1-D contiguous
+        int64 buffer with capacity for the *padded* batch,
+        ``tile_indices.size * tile_elements(enc)`` — decoders write whole
+        block-padded tiles before compacting in place.  Implementations
+        bounds-check the batch (:meth:`_validate_tile_indices`), validate
+        the metadata (:meth:`validate_for_decode`) and verify the result
+        (:meth:`verify_decoded_tiles`).
+
+        Args:
+            enc: the compressed column.
+            tile_indices: tile numbers to decode, each in ``[0, num_tiles)``,
+                in any order, repeats allowed.
+            out: scratch buffer (see :func:`require_out_buffer`).
+
+        Returns:
+            Number of logical values written; ``out[:written]`` holds the
+            tiles' values concatenated in the order given.
         """
 
     def decode_tiles(self, enc: EncodedColumn, tile_indices: np.ndarray) -> np.ndarray:
         """Decode a batch of tiles and concatenate their values.
 
-        The batched counterpart of :meth:`decode_tile` — one grid launch
-        over many thread blocks rather than one block at a time.  Tiles
-        are decoded in the order given; indices may repeat.  The base
-        implementation loops; the GPU-* codecs override it with a single
-        vectorized pass over the whole batch.
-
-        Args:
-            enc: the compressed column.
-            tile_indices: tile numbers to decode, each in
-                ``[0, num_tiles)``.  An empty batch decodes to an empty
-                array.
-
-        Returns:
-            The tiles' values concatenated, in the column's dtype.
+        Runs :meth:`decode_tiles_into` on a fresh buffer; the tiles'
+        values come back in the order given and in the column's dtype.
+        An empty batch decodes to an empty array.
         """
         tiles = self._validate_tile_indices(enc, tile_indices)
-        if tiles.size == 0:
-            return np.zeros(0, dtype=enc.dtype)
-        return np.concatenate([self.decode_tile(enc, int(t)) for t in tiles])
+        out = np.empty(tiles.size * self.tile_elements(enc), dtype=np.int64)
+        written = self.decode_tiles_into(enc, tiles, out)
+        return out[:written].astype(enc.dtype, copy=False)
+
+    def decode_tile(self, enc: EncodedColumn, tile_idx: int) -> np.ndarray:
+        """Decode one tile's values; the last tile may be short."""
+        self.check_tile_index(enc, tile_idx)
+        return self.decode_tiles(enc, np.array([tile_idx]))
+
+    def decode(self, enc: EncodedColumn) -> np.ndarray:
+        """Decode the whole column: every tile, in order."""
+        return self.decode_tiles(enc, np.arange(self.num_tiles(enc)))
 
     def decode_range(
         self, enc: EncodedColumn, first_tile: int, last_tile: int
@@ -688,43 +697,8 @@ class TileCodec(ColumnCodec):
         Returns:
             The range's values concatenated, in the column's dtype.
         """
-        n_tiles = self.num_tiles(enc)
-        if not 0 <= first_tile <= last_tile <= n_tiles:
-            raise IndexError(
-                f"tile range [{first_tile}, {last_tile}) out of range for "
-                f"column with {n_tiles} tiles"
-            )
+        self._check_tile_range(enc, first_tile, last_tile)
         return self.decode_tiles(enc, np.arange(first_tile, last_tile))
-
-    def decode_tiles_into(
-        self, enc: EncodedColumn, tile_indices: np.ndarray, out: np.ndarray
-    ) -> int:
-        """Decode a batch of tiles into a caller-provided scratch buffer.
-
-        The allocation-free counterpart of :meth:`decode_tiles`, built for
-        the streaming executor's per-worker :class:`DecodeArena`: values
-        land in ``out`` (always as ``int64``, the engine's working dtype)
-        and the codec allocates no output of its own.  ``out`` must be a
-        1-D contiguous int64 buffer with capacity for the *padded* batch,
-        ``tile_indices.size * tile_elements(enc)`` — vectorized decoders
-        write whole block-padded tiles before compacting in place.
-
-        Args:
-            enc: the compressed column.
-            tile_indices: tile numbers to decode, each in ``[0, num_tiles)``.
-            out: scratch buffer (see :func:`require_out_buffer`).
-
-        Returns:
-            Number of logical values written; ``out[:written]`` holds the
-            tiles' values concatenated in the order given.
-        """
-        tiles = self._validate_tile_indices(enc, tile_indices)
-        require_out_buffer(out, tiles.size * self.tile_elements(enc))
-        if tiles.size == 0:
-            return 0
-        values = self.decode_tiles(enc, tiles)
-        out[: values.size] = values
-        return int(values.size)
 
     def decode_range_into(
         self, enc: EncodedColumn, first_tile: int, last_tile: int, out: np.ndarray
@@ -734,15 +708,20 @@ class TileCodec(ColumnCodec):
         Range counterpart of :meth:`decode_tiles_into`, with the same
         buffer contract; returns the number of values written.
         """
+        self._check_tile_range(enc, first_tile, last_tile)
+        return self.decode_tiles_into(
+            enc, np.arange(first_tile, last_tile), out
+        )
+
+    def _check_tile_range(
+        self, enc: EncodedColumn, first_tile: int, last_tile: int
+    ) -> None:
         n_tiles = self.num_tiles(enc)
         if not 0 <= first_tile <= last_tile <= n_tiles:
             raise IndexError(
                 f"tile range [{first_tile}, {last_tile}) out of range for "
                 f"column with {n_tiles} tiles"
             )
-        return self.decode_tiles_into(
-            enc, np.arange(first_tile, last_tile), out
-        )
 
     def decode_filter_tiles_into(
         self,
@@ -788,8 +767,8 @@ class TileCodec(ColumnCodec):
         The host's late-materialization load: an engine whose selection
         has thinned to a few rows per tile asks for just those rows.
         This base implementation decodes every tile a row falls in
-        (through :meth:`decode_tiles`, so checksums are verified where
-        verification is on) and takes the rows; codecs whose headers
+        (through :meth:`decode_tiles_into`, so checksums are verified
+        where verification is on) and takes the rows; codecs whose headers
         locate a single value override it to read each row straight
         from the payload.  Rows may repeat and need not be sorted.
 
@@ -803,8 +782,9 @@ class TileCodec(ColumnCodec):
         tiles, slot = np.unique(rows // elems, return_inverse=True)
         # Only the column's last tile can be short, and it sorts last, so
         # tile ``slot`` starts at ``slot * elems`` of the concatenation.
-        decoded = self.decode_tiles(enc, tiles)
-        return decoded.take(slot * elems + rows % elems).astype(np.int64, copy=False)
+        decoded = np.empty(tiles.size * elems, dtype=np.int64)
+        self.decode_tiles_into(enc, tiles, decoded)
+        return decoded.take(slot * elems + rows % elems)
 
     @staticmethod
     def _validate_rows(enc: EncodedColumn, rows: np.ndarray) -> np.ndarray:

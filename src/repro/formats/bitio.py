@@ -9,8 +9,7 @@ like the CUDA implementation's ``(word >> start_bit) & mask`` extraction.
 These functions are the shared foundation of GPU-FOR, GPU-DFOR,
 GPU-RFOR, GPU-BP and GPU-SIMDBP128.  They validate arguments and then
 dispatch to the active :mod:`repro.formats.kernels` backend (reference
-NumPy, precompiled shift-table, or optional numba JIT) — all backends
-are bit-identical by contract.
+NumPy or precompiled shift-table) — both are bit-identical by contract.
 """
 
 from __future__ import annotations

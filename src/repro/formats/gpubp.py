@@ -28,7 +28,6 @@ from repro.formats.base import (
     ragged_arange,
     require_mask_buffer,
     require_out_buffer,
-    trim_tile_chunks,
 )
 from repro.formats.gpufor import BLOCK, bit_length
 
@@ -105,14 +104,6 @@ class GpuBp(TileCodec):
         self.attach_tile_checksums(enc, v[:n])
         return enc
 
-    def decode(self, enc: EncodedColumn) -> np.ndarray:
-        self.validate_for_decode(enc)
-        n_blocks = enc.arrays["block_starts"].size - 1
-        out = self._decode_blocks(enc, 0, n_blocks)
-        vals = out[: enc.count]
-        self.verify_decoded_tiles(enc, np.arange(self.num_tiles(enc)), vals)
-        return vals.astype(enc.dtype)
-
     def cascade_passes(self, enc: EncodedColumn) -> list[CascadePass]:
         starts, lengths = self.tile_segments(enc)
         return [
@@ -127,35 +118,6 @@ class GpuBp(TileCodec):
 
     # -- TileCodec ----------------------------------------------------------
 
-    def decode_tile(self, enc: EncodedColumn, tile_idx: int) -> np.ndarray:
-        self.check_tile_index(enc, tile_idx)
-        self.validate_for_decode(enc)
-        d = self.d_blocks(enc)
-        n_blocks = enc.arrays["block_starts"].size - 1
-        first = tile_idx * d
-        last = min(first + d, n_blocks)
-        vals = self._decode_blocks(enc, first, last)
-        end = min((first + d) * BLOCK, enc.count) - first * BLOCK
-        vals = vals[:end]
-        self.verify_decoded_tiles(enc, np.array([tile_idx]), vals)
-        return vals.astype(enc.dtype)
-
-    def decode_tiles(self, enc: EncodedColumn, tile_indices: np.ndarray) -> np.ndarray:
-        tiles = self._validate_tile_indices(enc, tile_indices)
-        if tiles.size == 0:
-            return np.zeros(0, dtype=enc.dtype)
-        self.validate_for_decode(enc)
-        d = self.d_blocks(enc)
-        n_blocks = enc.arrays["block_starts"].size - 1
-        first = tiles * d
-        nb = np.minimum(first + d, n_blocks) - first
-        blocks = np.repeat(first, nb) + ragged_arange(nb)
-        vals = self._decode_block_indices(enc, blocks)
-        keep = np.minimum((tiles + 1) * d * BLOCK, enc.count) - tiles * d * BLOCK
-        vals = trim_tile_chunks(vals, nb * BLOCK, keep)
-        self.verify_decoded_tiles(enc, tiles, vals)
-        return vals.astype(enc.dtype, copy=False)
-
     def decode_tiles_into(
         self, enc: EncodedColumn, tile_indices: np.ndarray, out: np.ndarray
     ) -> int:
@@ -169,7 +131,7 @@ class GpuBp(TileCodec):
         first = tiles * d
         nb = np.minimum(first + d, n_blocks) - first
         blocks = np.repeat(first, nb) + ragged_arange(nb)
-        self._decode_block_indices(enc, blocks, out=out)
+        self._decode_block_indices(enc, blocks, out)
         keep = np.minimum((tiles + 1) * d * BLOCK, enc.count) - tiles * d * BLOCK
         written = compact_tile_chunks_inplace(out, nb * BLOCK, keep)
         self.verify_decoded_tiles(enc, tiles, out[:written])
@@ -205,34 +167,16 @@ class GpuBp(TileCodec):
 
     # -- helpers ------------------------------------------------------------
 
-    def _decode_blocks(self, enc: EncodedColumn, first: int, last: int) -> np.ndarray:
-        if last - first <= 0:
-            return np.zeros(0, dtype=np.int64)
-        return self._decode_block_indices(enc, np.arange(first, last))
-
     def _decode_block_indices(
-        self,
-        enc: EncodedColumn,
-        blocks: np.ndarray,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Decode an arbitrary batch of blocks in one pass per bitwidth.
-
-        ``out`` optionally supplies a 1-D int64 scratch of at least
-        ``blocks.size * 128`` elements; the result is then a view into it.
-        """
-        blocks = np.asarray(blocks, dtype=np.int64)
+        self, enc: EncodedColumn, blocks: np.ndarray, out: np.ndarray
+    ) -> None:
+        """Decode a non-empty batch of blocks into ``out``, one pass per
+        bitwidth (``out`` holds at least ``blocks.size * 128`` int64)."""
         n = blocks.size
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
         bstarts = enc.arrays["block_starts"].astype(np.int64)[blocks]
         data = enc.arrays["data"]
         bits = data[bstarts].astype(np.int64)
-        if out is None:
-            decoded = np.empty((n, BLOCK), dtype=np.int64)
-        else:
-            require_out_buffer(out, n * BLOCK)
-            decoded = out[: n * BLOCK].reshape(n, BLOCK)
+        decoded = out[: n * BLOCK].reshape(n, BLOCK)
         # Regular-geometry fast path: one shared bitwidth over physically
         # consecutive blocks means equal payloads at a constant stride —
         # one contiguous unpack instead of a per-block word gather.
@@ -241,12 +185,11 @@ class GpuBp(TileCodec):
             payload = b0 * BLOCK // 32
             stride = payload + _HEADER_WORDS
             if n == 1 or bool((np.diff(bstarts) == stride).all()):
-                flat = decoded.reshape(-1)
                 bitio.unpack_bits_strided_into(
                     data, int(bstarts[0]) + _HEADER_WORDS, n,
-                    payload, stride, BLOCK, b0, flat,
+                    payload, stride, BLOCK, b0, out,
                 )
-                return flat
+                return
         for b in np.unique(bits):
             sel = np.flatnonzero(bits == b)
             if b == 0:
@@ -257,7 +200,6 @@ class GpuBp(TileCodec):
             words = data[src.reshape(-1)]
             vals = bitio.unpack_bits(words, sel.size * BLOCK, int(b))
             decoded[sel] = vals.reshape(sel.size, BLOCK).astype(np.int64)
-        return decoded.reshape(-1)
 
     def _decode_filter_block_indices(
         self,
@@ -286,7 +228,7 @@ class GpuBp(TileCodec):
         active = (block_hi >= lo) & (hi >= 0)
         decoded = out[: n * BLOCK].reshape(n, BLOCK)
         if bool(active.all()):
-            self._decode_block_indices(enc, blocks, out=out)
+            self._decode_block_indices(enc, blocks, out)
         else:
             decoded[np.flatnonzero(~active)] = 0
             for b in np.unique(bits[active]):

@@ -32,7 +32,6 @@ from repro.formats.base import (
     predicate_interval,
     require_mask_buffer,
     require_out_buffer,
-    trim_tile_chunks,
 )
 from repro.formats.gpufor import (
     BLOCK,
@@ -42,7 +41,6 @@ from repro.formats.gpufor import (
     block_metadata,
     layout_blocks,
     unpack_block_indices,
-    unpack_blocks,
 )
 
 
@@ -130,21 +128,6 @@ class GpuDFor(TileCodec):
         self.attach_tile_checksums(enc, values.astype(np.int64, copy=False))
         return enc
 
-    def decode(self, enc: EncodedColumn) -> np.ndarray:
-        if enc.count == 0:
-            return np.zeros(0, dtype=enc.dtype)
-        self.validate_for_decode(enc)
-        d = self.d_blocks(enc)
-        tile = d * BLOCK
-        n_blocks = enc.arrays["block_starts"].size - 1
-        deltas = unpack_blocks(enc.arrays["data"], enc.arrays["block_starts"], 0, n_blocks)
-        tiles = deltas.reshape(-1, tile)
-        sums = np.cumsum(tiles, axis=1)
-        values = sums + enc.arrays["first_values"].astype(np.int64)[:, None]
-        vals = values.reshape(-1)[: enc.count]
-        self.verify_decoded_tiles(enc, np.arange(self.num_tiles(enc)), vals)
-        return vals.astype(enc.dtype)
-
     def cascade_passes(self, enc: EncodedColumn) -> list[CascadePass]:
         decoded_bytes = enc.count * 4
         starts, lengths = self.tile_segments(enc)
@@ -176,48 +159,6 @@ class GpuDFor(TileCodec):
 
     # -- TileCodec ----------------------------------------------------------
 
-    def decode_tile(self, enc: EncodedColumn, tile_idx: int) -> np.ndarray:
-        self.check_tile_index(enc, tile_idx)
-        self.validate_for_decode(enc)
-        d = self.d_blocks(enc)
-        n_blocks = enc.arrays["block_starts"].size - 1
-        first = tile_idx * d
-        last = min(first + d, n_blocks)
-        deltas = unpack_blocks(enc.arrays["data"], enc.arrays["block_starts"], first, last)
-        # The device function's second step: a block-wide Blelloch scan
-        # over the tile's deltas in shared memory (Section 5.2).
-        from repro.engine.primitives import block_prefix_sum
-
-        sums, _ = block_prefix_sum(deltas, inclusive=True)
-        values = sums + int(enc.arrays["first_values"][tile_idx])
-        end = min((first + d) * BLOCK, enc.count) - first * BLOCK
-        values = values[:end]
-        self.verify_decoded_tiles(enc, np.array([tile_idx]), values)
-        return values.astype(enc.dtype)
-
-    def decode_tiles(self, enc: EncodedColumn, tile_indices: np.ndarray) -> np.ndarray:
-        tiles = self._validate_tile_indices(enc, tile_indices)
-        if tiles.size == 0:
-            return np.zeros(0, dtype=enc.dtype)
-        self.validate_for_decode(enc)
-        d = self.d_blocks(enc)
-        tile = d * BLOCK
-        # The encoder pads to whole tiles, so every tile holds exactly
-        # ``d`` blocks and the delta chains restart at tile boundaries —
-        # one batched unpack plus a row-wise scan decodes the lot.
-        blocks = (tiles[:, None] * d + np.arange(d)).reshape(-1)
-        deltas = unpack_block_indices(
-            enc.arrays["data"], enc.arrays["block_starts"], blocks
-        ).reshape(tiles.size, tile)
-        sums = np.cumsum(deltas, axis=1)
-        values = sums + enc.arrays["first_values"].astype(np.int64)[tiles, None]
-        keep = np.minimum((tiles + 1) * tile, enc.count) - tiles * tile
-        vals = trim_tile_chunks(
-            values.reshape(-1), np.full(tiles.size, tile, dtype=np.int64), keep
-        )
-        self.verify_decoded_tiles(enc, tiles, vals)
-        return vals.astype(enc.dtype, copy=False)
-
     def decode_tiles_into(
         self, enc: EncodedColumn, tile_indices: np.ndarray, out: np.ndarray
     ) -> int:
@@ -228,6 +169,9 @@ class GpuDFor(TileCodec):
         if tiles.size == 0:
             return 0
         self.validate_for_decode(enc)
+        # The encoder pads to whole tiles, so every tile holds exactly
+        # ``d`` blocks and the delta chains restart at tile boundaries —
+        # one batched unpack plus a row-wise scan decodes the lot.
         blocks = (tiles[:, None] * d + np.arange(d)).reshape(-1)
         deltas = unpack_block_indices(
             enc.arrays["data"], enc.arrays["block_starts"], blocks, out=out

@@ -37,7 +37,6 @@ from repro.formats.base import (
     ragged_arange,
     require_mask_buffer,
     require_out_buffer,
-    trim_tile_chunks,
     verify_mode,
 )
 
@@ -466,14 +465,6 @@ class GpuFor(TileCodec):
         self.attach_tile_checksums(enc, blocks.values[: values.size])
         return enc
 
-    def decode(self, enc: EncodedColumn) -> np.ndarray:
-        self.validate_for_decode(enc)
-        n_blocks = enc.arrays["block_starts"].size - 1
-        full = unpack_blocks(enc.arrays["data"], enc.arrays["block_starts"], 0, n_blocks)
-        vals = full[: enc.count]
-        self.verify_decoded_tiles(enc, np.arange(self.num_tiles(enc)), vals)
-        return vals.astype(enc.dtype)
-
     def cascade_passes(self, enc: EncodedColumn) -> list[CascadePass]:
         decoded_bytes = enc.count * 4
         starts, lengths = self.tile_segments(enc)
@@ -495,36 +486,6 @@ class GpuFor(TileCodec):
         ]
 
     # -- TileCodec ----------------------------------------------------------
-
-    def decode_tile(self, enc: EncodedColumn, tile_idx: int) -> np.ndarray:
-        self.check_tile_index(enc, tile_idx)
-        self.validate_for_decode(enc)
-        d = self.d_blocks(enc)
-        n_blocks = enc.arrays["block_starts"].size - 1
-        first = tile_idx * d
-        last = min(first + d, n_blocks)
-        vals = unpack_blocks(enc.arrays["data"], enc.arrays["block_starts"], first, last)
-        # Trim padding on the final tile.
-        end = min((first + d) * BLOCK, enc.count) - first * BLOCK
-        vals = vals[:end]
-        self.verify_decoded_tiles(enc, np.array([tile_idx]), vals)
-        return vals.astype(enc.dtype)
-
-    def decode_tiles(self, enc: EncodedColumn, tile_indices: np.ndarray) -> np.ndarray:
-        tiles = self._validate_tile_indices(enc, tile_indices)
-        if tiles.size == 0:
-            return np.zeros(0, dtype=enc.dtype)
-        self.validate_for_decode(enc)
-        d = self.d_blocks(enc)
-        n_blocks = enc.arrays["block_starts"].size - 1
-        first = tiles * d
-        nb = np.minimum(first + d, n_blocks) - first
-        blocks = np.repeat(first, nb) + ragged_arange(nb)
-        vals = unpack_block_indices(enc.arrays["data"], enc.arrays["block_starts"], blocks)
-        keep = np.minimum((tiles + 1) * d * BLOCK, enc.count) - tiles * d * BLOCK
-        vals = trim_tile_chunks(vals, nb * BLOCK, keep)
-        self.verify_decoded_tiles(enc, tiles, vals)
-        return vals.astype(enc.dtype, copy=False)
 
     def decode_tiles_into(
         self, enc: EncodedColumn, tile_indices: np.ndarray, out: np.ndarray

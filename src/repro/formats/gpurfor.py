@@ -26,10 +26,10 @@ from repro.formats.base import (
     EncodedColumn,
     KernelResources,
     TileCodec,
+    compact_tile_chunks_inplace,
     ragged_arange,
     require_mask_buffer,
     require_out_buffer,
-    trim_tile_chunks,
 )
 from repro.formats.ragged import (
     RaggedLayout,
@@ -41,6 +41,12 @@ from repro.formats.ragged import (
 
 #: Logical values per RFOR block (Section 6).
 RFOR_BLOCK = 512
+#: Blocks whose runs one ``np.repeat`` expands.  ``np.repeat`` has no
+#: ``out`` parameter, so each expansion is a transient copied into the
+#: caller's buffer; slabs bound it at 512 KiB of int64 instead of the
+#: whole batch (as fast as one repeat, and far below scatter+cumsum
+#: expansion's memory).
+_EXPAND_BLOCKS = 128
 
 
 def run_length_encode(values: np.ndarray, block: int = RFOR_BLOCK):
@@ -154,36 +160,26 @@ class GpuRFor(TileCodec):
         return enc
 
     def _check_run_sum(
-        self, enc: EncodedColumn, run_lengths: np.ndarray, n_blocks: int, tile_id: int
+        self, enc: EncodedColumn, run_lengths: np.ndarray, run_ends: np.ndarray,
+        tile_id: int,
     ) -> None:
-        """Reject corrupt run lengths *before* expansion allocates output.
+        """Reject corrupt run lengths *before* expansion writes output.
 
-        Each block's run lengths must sum to exactly ``RFOR_BLOCK``; a
-        flipped bit in the packed lengths stream would otherwise make
-        ``np.repeat`` allocate an arbitrarily large (or misaligned)
-        expansion.
+        Each block's run lengths (block ``i``'s runs end at
+        ``run_ends[i]``) must be positive and sum to exactly
+        ``RFOR_BLOCK``; a flipped bit in the packed lengths stream would
+        otherwise make ``np.repeat`` overrun (or fall short of) the
+        block's slots.
         """
-        expected = n_blocks * RFOR_BLOCK
-        total = int(run_lengths.sum()) if run_lengths.size else 0
-        if total != expected or (run_lengths.size and int(run_lengths.min()) < 1):
+        sums = np.add.reduceat(run_lengths, np.concatenate(([0], run_ends[:-1])))
+        if bool((sums != RFOR_BLOCK).any()) or int(run_lengths.min()) < 1:
             from repro.formats.validate import CorruptTileError
 
             raise CorruptTileError(
                 enc.column_name, tile_id,
-                f"run lengths sum to {total}, expected {expected}",
+                f"run lengths sum to {int(run_lengths.sum())} over "
+                f"{run_ends.size} blocks, expected {RFOR_BLOCK} per block",
             )
-
-    def decode(self, enc: EncodedColumn) -> np.ndarray:
-        if enc.count == 0:
-            return np.zeros(0, dtype=enc.dtype)
-        self.validate_for_decode(enc)
-        n_blocks = self._num_blocks(enc)
-        run_values, run_lengths = self._decode_runs(enc, np.arange(n_blocks))
-        self._check_run_sum(enc, run_lengths, n_blocks, -1)
-        out = np.repeat(run_values, run_lengths)
-        vals = out[: enc.count]
-        self.verify_decoded_tiles(enc, np.arange(self.num_tiles(enc)), vals)
-        return vals.astype(enc.dtype)
 
     def cascade_passes(self, enc: EncodedColumn) -> list[CascadePass]:
         """Eight kernel passes (Section 9.2): FOR+BitPack for both streams,
@@ -251,51 +247,19 @@ class GpuRFor(TileCodec):
 
     # -- TileCodec ----------------------------------------------------------
 
-    def decode_tile(self, enc: EncodedColumn, tile_idx: int) -> np.ndarray:
-        self.check_tile_index(enc, tile_idx)
-        self.validate_for_decode(enc)
-        d = self.d_blocks(enc)
-        n_blocks = self._num_blocks(enc)
-        first = tile_idx * d
-        last = min(first + d, n_blocks)
-        run_values, run_lengths = self._decode_runs(enc, np.arange(first, last))
-        self._check_run_sum(enc, run_lengths, last - first, tile_idx)
-        # The device function's expansion: Fang et al.'s four block-wide
-        # steps (scan, scatter, max-scan, gather) in shared memory.
-        from repro.engine.primitives import block_rle_expand
-
-        out = block_rle_expand(run_values, run_lengths)
-        end = min((first + d) * RFOR_BLOCK, enc.count) - first * RFOR_BLOCK
-        out = out[:end]
-        self.verify_decoded_tiles(enc, np.array([tile_idx]), out)
-        return out.astype(enc.dtype)
-
-    def decode_tiles(self, enc: EncodedColumn, tile_indices: np.ndarray) -> np.ndarray:
-        tiles = self._validate_tile_indices(enc, tile_indices)
-        if tiles.size == 0:
-            return np.zeros(0, dtype=enc.dtype)
-        self.validate_for_decode(enc)
-        run_values, run_lengths, chunks, keep = self._tile_runs(enc, tiles)
-        vals = trim_tile_chunks(np.repeat(run_values, run_lengths), chunks, keep)
-        self.verify_decoded_tiles(enc, tiles, vals)
-        return vals.astype(enc.dtype, copy=False)
-
     def decode_tiles_into(
         self, enc: EncodedColumn, tile_indices: np.ndarray, out: np.ndarray
     ) -> int:
-        # RLE expansion's np.repeat has no out-parameter, so the run
-        # streams and the expanded runs stay transient; only the trimmed
-        # logical values are copied into the caller's scratch.  The
-        # transients are run-sized (tiny for run-heavy columns), so the
-        # arena still bounds the dominant decoded footprint.
         tiles = self._validate_tile_indices(enc, tile_indices)
-        d = self.d_blocks(enc)
-        require_out_buffer(out, tiles.size * d * RFOR_BLOCK)
+        require_out_buffer(out, tiles.size * self.tile_elements(enc))
         if tiles.size == 0:
             return 0
-        values = self.decode_tiles(enc, tiles)
-        out[: values.size] = values
-        return int(values.size)
+        self.validate_for_decode(enc)
+        run_values, run_lengths, run_ends, chunks, keep = self._tile_runs(enc, tiles)
+        self._expand_runs(run_values, run_lengths, run_ends, out)
+        written = compact_tile_chunks_inplace(out, chunks, keep)
+        self.verify_decoded_tiles(enc, tiles, out[:written])
+        return written
 
     def decode_filter_tiles_into(
         self,
@@ -309,25 +273,24 @@ class GpuRFor(TileCodec):
 
         The predicate is applied to the *run values* before expansion —
         ``n_runs`` comparisons instead of one per logical row — and the
-        run mask expands with the same ``np.repeat`` as the values.  Any
+        run mask expands the same way as the values.  Any
         predicate shape works (runs are plain value-domain integers), and
         values are fully materialized so checksum coverage is preserved.
         """
         tiles = self._validate_tile_indices(enc, tile_indices)
-        d = self.d_blocks(enc)
-        require_out_buffer(out, tiles.size * d * RFOR_BLOCK)
-        require_mask_buffer(mask, tiles.size * d * RFOR_BLOCK)
+        needed = tiles.size * self.tile_elements(enc)
+        require_out_buffer(out, needed)
+        require_mask_buffer(mask, needed)
         if tiles.size == 0:
             return 0
         self.validate_for_decode(enc)
-        run_values, run_lengths, chunks, keep = self._tile_runs(enc, tiles)
-        run_mask = predicate.row_mask(run_values)
-        vals = trim_tile_chunks(np.repeat(run_values, run_lengths), chunks, keep)
-        kept_mask = trim_tile_chunks(np.repeat(run_mask, run_lengths), chunks, keep)
-        self.verify_decoded_tiles(enc, tiles, vals)
-        out[: vals.size] = vals
-        mask[: vals.size] = kept_mask
-        return int(vals.size)
+        run_values, run_lengths, run_ends, chunks, keep = self._tile_runs(enc, tiles)
+        self._expand_runs(run_values, run_lengths, run_ends, out)
+        self._expand_runs(predicate.row_mask(run_values), run_lengths, run_ends, mask)
+        written = compact_tile_chunks_inplace(out, chunks, keep)
+        compact_tile_chunks_inplace(mask, chunks, keep)
+        self.verify_decoded_tiles(enc, tiles, out[:written])
+        return written
 
     def tile_bounds(self, enc: EncodedColumn) -> tuple[np.ndarray, np.ndarray]:
         """Zero-decode bounds from the run-values stream's metadata.
@@ -415,22 +378,35 @@ class GpuRFor(TileCodec):
 
     def _tile_runs(
         self, enc: EncodedColumn, tiles: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The checked runs of whole tiles, plus each tile's padded and
-        kept lengths for :func:`trim_tile_chunks`.
-
-        Runs never cross block boundaries and each block's lengths sum to
-        exactly ``RFOR_BLOCK``, so one ``np.repeat`` expands the batch.
-        """
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The checked runs of whole tiles: run values, run lengths and
+        where each block's runs end, plus each tile's padded and kept
+        lengths for :func:`compact_tile_chunks_inplace`."""
         d = self.d_blocks(enc)
         first = tiles * d
         nb = np.minimum(first + d, self._num_blocks(enc)) - first
-        run_values, run_lengths = self._decode_runs(
-            enc, np.repeat(first, nb) + ragged_arange(nb)
-        )
-        self._check_run_sum(enc, run_lengths, int(nb.sum()), int(tiles[0]))
+        blocks = np.repeat(first, nb) + ragged_arange(nb)
+        run_values, run_lengths = self._decode_runs(enc, blocks)
+        run_ends = np.cumsum(enc.arrays["run_counts"].astype(np.int64)[blocks])
+        self._check_run_sum(enc, run_lengths, run_ends, int(tiles[0]))
         keep = np.minimum((tiles + 1) * d * RFOR_BLOCK, enc.count) - first * RFOR_BLOCK
-        return run_values, run_lengths, nb * RFOR_BLOCK, keep
+        return run_values, run_lengths, run_ends, nb * RFOR_BLOCK, keep
+
+    @staticmethod
+    def _expand_runs(
+        runs: np.ndarray, run_lengths: np.ndarray, run_ends: np.ndarray, out: np.ndarray
+    ) -> None:
+        """Expand the runs of consecutive blocks into ``out``.
+
+        Runs never cross block boundaries and each block's lengths sum to
+        exactly ``RFOR_BLOCK`` (:meth:`_check_run_sum`), so block ``i``
+        fills ``out[i * RFOR_BLOCK : (i + 1) * RFOR_BLOCK]`` and any
+        :data:`_EXPAND_BLOCKS` of them expand with one ``np.repeat``.
+        """
+        for b in range(0, run_ends.size, _EXPAND_BLOCKS):
+            last = min(b + _EXPAND_BLOCKS, run_ends.size)
+            r = slice(int(run_ends[b - 1]) if b else 0, int(run_ends[last - 1]))
+            out[b * RFOR_BLOCK : last * RFOR_BLOCK] = np.repeat(runs[r], run_lengths[r])
 
     def _num_blocks(self, enc: EncodedColumn) -> int:
         return enc.arrays["run_counts"].size

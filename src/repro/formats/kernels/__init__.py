@@ -11,9 +11,6 @@ actual pack/unpack work to one of the backends registered here:
   bounded slabs), and byte-aligned widths (1/2/4/8/16/32 on
   little-endian hosts) take dtype-view fast paths that skip the window
   machinery entirely (:mod:`repro.formats.kernels.shift_table`).
-* ``numba`` — an optional JIT backend compiled on first use; selecting
-  it without numba installed falls back to ``shift-table`` with a
-  warning (:mod:`repro.formats.kernels.numba_jit`).
 
 Selection: the ``REPRO_KERNEL_BACKEND`` environment variable at import,
 :func:`set_backend` at runtime, or ``CrystalEngine(kernel_backend=...)``
@@ -30,7 +27,7 @@ import warnings
 import numpy as np
 
 #: Canonical backend names, in oracle-first order.
-BACKEND_NAMES = ("numpy", "shift-table", "numba")
+BACKEND_NAMES = ("numpy", "shift-table")
 
 _DEFAULT_BACKEND = "shift-table"
 
@@ -147,25 +144,15 @@ def _make_shift_table() -> KernelBackend:
     return ShiftTableBackend()
 
 
-def _make_numba() -> KernelBackend:
-    from repro.formats.kernels import numba_jit
-
-    if not numba_jit.AVAILABLE:
-        raise ModuleNotFoundError(numba_jit.UNAVAILABLE_REASON)
-    return numba_jit.NumbaBackend()
-
-
 _FACTORIES = {
     "numpy": _make_numpy,
     "shift-table": _make_shift_table,
-    "numba": _make_numba,
 }
 
 #: Spelling aliases accepted from the environment / engine kwargs.
 _ALIASES = {"shift_table": "shift-table", "shifttable": "shift-table", "ref": "numpy"}
 
 _active: KernelBackend | None = None
-_fallback_reason: str | None = None
 
 
 def normalize_backend_name(name: str) -> str:
@@ -179,23 +166,10 @@ def normalize_backend_name(name: str) -> str:
 
 
 def set_backend(name: str) -> KernelBackend:
-    """Activate a backend by name and return it.
-
-    Selecting ``numba`` when numba is not importable falls back to
-    ``shift-table`` with a warning instead of failing — backend choice
-    is a tuning knob, not a correctness requirement.
-    """
-    global _active, _fallback_reason
-    canon = normalize_backend_name(name)
-    try:
-        backend = _FACTORIES[canon]()
-        _fallback_reason = None
-    except ModuleNotFoundError as exc:
-        _fallback_reason = f"{canon} unavailable ({exc}); using {_DEFAULT_BACKEND}"
-        warnings.warn(_fallback_reason, RuntimeWarning, stacklevel=2)
-        backend = _FACTORIES[_DEFAULT_BACKEND]()
-    _active = backend
-    return backend
+    """Activate a backend by name and return it."""
+    global _active
+    _active = _FACTORIES[normalize_backend_name(name)]()
+    return _active
 
 
 def get_backend() -> KernelBackend:
@@ -215,23 +189,3 @@ def get_backend() -> KernelBackend:
 def backend_name() -> str:
     """Name of the active backend (resolving the environment default)."""
     return get_backend().name
-
-
-def capability_report() -> dict:
-    """What is available, what is active, and why any fallback happened."""
-    backends: dict[str, dict] = {}
-    for name in BACKEND_NAMES:
-        if name == "numba":
-            from repro.formats.kernels import numba_jit
-
-            backends[name] = {
-                "available": numba_jit.AVAILABLE,
-                "reason": numba_jit.UNAVAILABLE_REASON,
-            }
-        else:
-            backends[name] = {"available": True, "reason": None}
-    return {
-        "active": backend_name(),
-        "fallback_reason": _fallback_reason,
-        "backends": backends,
-    }

@@ -234,7 +234,7 @@ def unpack_ragged_blocks(
     """Decode an arbitrary batch of blocks of a ragged stream.
 
     The batched decoder core behind :func:`unpack_ragged` and
-    GPU-RFOR's ``decode_tiles``: every selected block's miniblocks are
+    GPU-RFOR's ``decode_tiles_into``: every selected block's miniblocks are
     unpacked by :func:`~repro.formats.gpufor.unpack_miniblocks` in one
     sweep over the distinct widths.
 

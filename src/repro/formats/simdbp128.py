@@ -28,7 +28,6 @@ from repro.formats.base import (
     predicate_interval,
     require_mask_buffer,
     require_out_buffer,
-    trim_tile_chunks,
 )
 from repro.formats.gpufor import bit_length
 
@@ -104,9 +103,6 @@ class GpuSimdBp128(TileCodec):
         self.attach_tile_checksums(enc, v[:n])
         return enc
 
-    def decode(self, enc: EncodedColumn) -> np.ndarray:
-        return self.decode_range(enc, 0, self.num_tiles(enc))
-
     def cascade_passes(self, enc: EncodedColumn) -> list[CascadePass]:
         starts, lengths = self.tile_segments(enc)
         return [
@@ -127,67 +123,6 @@ class GpuSimdBp128(TileCodec):
         ]
 
     # -- TileCodec ----------------------------------------------------------
-
-    def decode_tile(self, enc: EncodedColumn, tile_idx: int) -> np.ndarray:
-        self.check_tile_index(enc, tile_idx)
-        self.validate_for_decode(enc)
-        starts = enc.arrays["block_starts"].astype(np.int64)
-        data = enc.arrays["data"]
-        start = int(starts[tile_idx])
-        reference = int(np.int32(data[start]))
-        b = int(data[start + 1])
-        if b:
-            words = data[start + _HEADER_WORDS : int(starts[tile_idx + 1])]
-            vals = bitio.unpack_vertical(words, VBLOCK, b, LANES).astype(np.int64)
-        else:
-            vals = np.zeros(VBLOCK, dtype=np.int64)
-        vals += reference
-        end = min((tile_idx + 1) * VBLOCK, enc.count) - tile_idx * VBLOCK
-        vals = vals[:end]
-        self.verify_decoded_tiles(enc, np.array([tile_idx]), vals)
-        return vals.astype(enc.dtype)
-
-    def decode_tiles(self, enc: EncodedColumn, tile_indices: np.ndarray) -> np.ndarray:
-        tiles = self._validate_tile_indices(enc, tile_indices)
-        if tiles.size == 0:
-            return np.zeros(0, dtype=enc.dtype)
-        self.validate_for_decode(enc)
-        data = enc.arrays["data"]
-        bstarts = enc.arrays["block_starts"].astype(np.int64)[tiles]
-        references = data[bstarts].view(np.int32).astype(np.int64)
-        bits = data[bstarts + 1].astype(np.int64)
-        per_lane = VBLOCK // LANES
-
-        out = np.empty((tiles.size, VBLOCK), dtype=np.int64)
-        for b in np.unique(bits):
-            sel = np.flatnonzero(bits == b)
-            if b == 0:
-                out[sel] = 0
-                continue
-            words_per_block = int(b) * VBLOCK // 32
-            words_per_lane = words_per_block // LANES
-            src = (bstarts[sel] + _HEADER_WORDS)[:, None] + np.arange(words_per_block)
-            words = data[src.reshape(-1)].reshape(sel.size, words_per_lane, LANES)
-            # De-interleave the vertical layout: lane l of word-group g
-            # sits at word g*LANES + l.  Each lane is word-aligned, so
-            # the per-block lane streams concatenate into one valid
-            # horizontal stream unpacked in a single pass.
-            lane_stream = np.ascontiguousarray(words.transpose(0, 2, 1)).reshape(-1)
-            vals = bitio.unpack_bits(lane_stream, sel.size * VBLOCK, int(b))
-            # Value i of a block lives at (lane i % LANES, slot i // LANES).
-            out[sel] = (
-                vals.reshape(sel.size, LANES, per_lane)
-                .transpose(0, 2, 1)
-                .reshape(sel.size, VBLOCK)
-                .astype(np.int64)
-            )
-        out += references[:, None]
-        keep = np.minimum((tiles + 1) * VBLOCK, enc.count) - tiles * VBLOCK
-        vals = trim_tile_chunks(
-            out.reshape(-1), np.full(tiles.size, VBLOCK, dtype=np.int64), keep
-        )
-        self.verify_decoded_tiles(enc, tiles, vals)
-        return vals.astype(enc.dtype, copy=False)
 
     def decode_tiles_into(
         self, enc: EncodedColumn, tile_indices: np.ndarray, out: np.ndarray

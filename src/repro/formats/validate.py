@@ -129,6 +129,10 @@ def validate_encoded(enc: EncodedColumn) -> None:
         starts = enc.arrays["block_starts"]
         _check_starts(starts, data.size, "gpu-bp")
         s = starts.astype(np.int64)
+        _require(
+            (s.size - 1) * BLOCK >= enc.count,
+            "gpu-bp: blocks cover fewer than count elements",
+        )
         if s.size > 1:
             widths = data[s[:-1]].astype(np.int64)
             _require(bool(widths.max(initial=0) <= 32), "gpu-bp: bitwidth exceeds 32")

@@ -146,9 +146,7 @@ class ShardRouter:
     :class:`~repro.ssb.loader.ColumnStore`.  ``budget_bytes`` is the
     byte budget of **each** shard's pool (default: the device spec's
     global memory); ``replicate_columns`` are pinned in full on every
-    shard.  ``streaming`` picks the shard engines' execution style;
-    more than one shard requires it, so that shards run their morsels
-    on worker threads rather than one whole-span morsel each.  The
+    shard.  ``streaming`` picks the shard engines' execution style.  The
     router's :attr:`elapsed_ms` is the simulated clock of everything
     routed through it (slowest selected shard per query, plus
     interconnect merges).
@@ -174,11 +172,6 @@ class ShardRouter:
     ):
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        if num_shards > 1 and not streaming:
-            raise ValueError(
-                "num_shards > 1 requires streaming=True: shards execute "
-                "tile-span-restricted streaming plans"
-            )
         if semantic_cache and not streaming:
             raise ValueError(
                 "semantic_cache requires streaming=True: partials are "

@@ -1,8 +1,10 @@
-"""Batched tile decode: ``decode_tiles`` / ``decode_range``.
+"""Tile decode entry points: ``decode`` / ``decode_tile`` / ``decode_tiles``
+/ ``decode_range`` / ``decode_range_into`` / ``gather_rows``.
 
-The batched API must be bit-identical to a per-tile ``decode_tile`` loop
-for every tile codec, honour the empty-column contract, and reject
-out-of-range tiles the same way the per-tile path does.
+Every entry point derives from the codec's one ``decode_tiles_into``, so
+each is checked against the encoder's input values (not against another
+entry point), must honour the empty-column contract, reject out-of-range
+tiles, verify tile checksums and return the column's dtype.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ import pytest
 from repro.formats.base import (
     compact_tile_chunks_inplace,
     ragged_arange,
-    trim_tile_chunks,
+    set_checksums,
 )
 from repro.formats.registry import get_codec, is_tile_codec
+from repro.formats.validate import CorruptTileError
 
 TILE_CODECS = ("gpu-for", "gpu-dfor", "gpu-rfor", "gpu-bp", "gpu-simdbp128")
 
@@ -31,6 +34,12 @@ def _workload(codec_name: str, n: int, seed: int = 0) -> np.ndarray:
     return rng.integers(lo, 5000, n).astype(np.int64)
 
 
+def _tile_values(codec, enc, values: np.ndarray, tile: int) -> np.ndarray:
+    """The encoder's input values that tile ``tile`` covers."""
+    elems = codec.tile_elements(enc)
+    return values[tile * elems : (tile + 1) * elems]
+
+
 @pytest.mark.parametrize("codec_name", TILE_CODECS)
 @pytest.mark.parametrize("n", [1, 100, 512, 4096, 10_000, 20_001])
 class TestBatchedMatchesPerTile:
@@ -39,15 +48,17 @@ class TestBatchedMatchesPerTile:
         values = _workload(codec_name, n)
         enc = codec.encode(values)
         n_tiles = codec.num_tiles(enc)
-        loop = np.concatenate(
-            [codec.decode_tile(enc, t) for t in range(n_tiles)]
-        )
-        batched = codec.decode_tiles(enc, np.arange(n_tiles))
-        ranged = codec.decode_range(enc, 0, n_tiles)
-        assert batched.dtype == loop.dtype
-        assert np.array_equal(loop, batched)
-        assert np.array_equal(loop, ranged)
-        assert np.array_equal(batched.astype(np.int64), values)
+        for t in range(n_tiles):
+            tile = codec.decode_tile(enc, t)
+            assert tile.dtype == values.dtype
+            assert np.array_equal(tile, _tile_values(codec, enc, values, t))
+        for decoded in (
+            codec.decode(enc),
+            codec.decode_tiles(enc, np.arange(n_tiles)),
+            codec.decode_range(enc, 0, n_tiles),
+        ):
+            assert decoded.dtype == values.dtype
+            assert np.array_equal(decoded, values)
 
     def test_arbitrary_subset_order_and_duplicates(self, codec_name, n):
         codec = get_codec(codec_name)
@@ -57,9 +68,77 @@ class TestBatchedMatchesPerTile:
         rng = np.random.default_rng(7)
         subset = rng.integers(0, n_tiles, size=min(2 * n_tiles, 16))
         expected = np.concatenate(
-            [codec.decode_tile(enc, int(t)) for t in subset]
+            [_tile_values(codec, enc, values, int(t)) for t in subset]
         )
         assert np.array_equal(expected, codec.decode_tiles(enc, subset))
+
+
+#: Entry point -> call decoding (at least) tile ``t`` of ``enc``, and the
+#: dtype it returns for a column of dtype ``dtype``.
+ENTRY_POINTS = {
+    "decode": (lambda c, e, t: c.decode(e), None),
+    "decode_tile": (lambda c, e, t: c.decode_tile(e, t), None),
+    "decode_tiles": (lambda c, e, t: c.decode_tiles(e, [t]), None),
+    "decode_range": (lambda c, e, t: c.decode_range(e, t, t + 1), None),
+    "decode_range_into": (
+        lambda c, e, t: _range_into(c, e, t), np.dtype(np.int64)
+    ),
+    "gather_rows": (
+        lambda c, e, t: c.gather_rows(e, _tile_rows(c, e, t)), np.dtype(np.int64)
+    ),
+}
+
+
+def _range_into(codec, enc, tile: int) -> np.ndarray:
+    out = np.empty(codec.tile_elements(enc), dtype=np.int64)
+    return out[: codec.decode_range_into(enc, tile, tile + 1, out)]
+
+
+def _tile_rows(codec, enc, tile: int) -> np.ndarray:
+    elems = codec.tile_elements(enc)
+    return np.arange(tile * elems, min((tile + 1) * elems, enc.count))
+
+
+def _expected(name, codec, enc, values, tile):
+    return values if name == "decode" else _tile_values(codec, enc, values, tile)
+
+
+@pytest.mark.parametrize("codec_name", TILE_CODECS)
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+class TestEntryPointMatrix:
+    """Every entry point verifies CRCs and keeps the column's dtype."""
+
+    def _column(self, codec_name):
+        # At least two tiles of every codec (the widest tile is 4096).
+        return get_codec(codec_name), _workload(codec_name, 3 * 4096 + 17)
+
+    def test_flipped_payload_word_raises(self, codec_name, entry):
+        codec, values = self._column(codec_name)
+        previous = set_checksums(True)
+        try:
+            enc = codec.encode(values)
+        finally:
+            set_checksums(previous)
+        assert "tile_crcs" in enc.meta
+        # Invert the last payload word of tile 1: every bit of it belongs
+        # to some value of that tile, so its CRC no longer matches.
+        starts, lengths = codec.tile_segments(enc)
+        stream = "values_data" if codec_name == "gpu-rfor" else "data"
+        word = int(starts[1] + lengths[1]) // 4 - 1
+        enc.arrays[stream] = enc.arrays[stream].copy()
+        enc.arrays[stream][word] ^= np.uint32(0xFFFFFFFF)
+        call, _ = ENTRY_POINTS[entry]
+        with pytest.raises(CorruptTileError):
+            call(codec, enc, 1)
+
+    def test_int32_round_trips_as_int32(self, codec_name, entry):
+        codec, values = self._column(codec_name)
+        values = values.astype(np.int32)
+        enc = codec.encode(values)
+        call, dtype = ENTRY_POINTS[entry]
+        decoded = call(codec, enc, 1)
+        assert decoded.dtype == (dtype or np.dtype(np.int32))
+        assert np.array_equal(decoded, _expected(entry, codec, enc, values, 1))
 
 
 @pytest.mark.parametrize("codec_name", TILE_CODECS)
@@ -118,23 +197,19 @@ class TestTileContract:
         assert np.array_equal(expected, codec.decode_range(enc, first, last))
 
 
-def test_default_fallback_loops_per_tile():
-    """Codecs without an override still get a correct batched decode."""
+def test_entry_points_derive_from_decode_tiles_into():
+    """Each tile codec implements only ``decode_tiles_into``; every other
+    decode entry point comes from :class:`TileCodec`."""
     from repro.formats.base import TileCodec
-    from repro.formats.gpufor import GpuFor
 
-    class NoOverride(GpuFor):
-        name = "gpu-for-no-override"
-        decode_tiles = TileCodec.decode_tiles
-        decode_range = TileCodec.decode_range
-
-    codec = NoOverride()
-    values = np.arange(5000, dtype=np.int64)
-    enc = codec.encode(values)
-    n_tiles = codec.num_tiles(enc)
-    out = codec.decode_tiles(enc, np.arange(n_tiles))
-    assert np.array_equal(out.astype(np.int64), values)
-    assert codec.decode_tiles(enc, []).shape == (0,)
+    assert "decode_tiles_into" in TileCodec.__abstractmethods__
+    for name in TILE_CODECS:
+        own = vars(type(get_codec(name)))
+        assert "decode_tiles_into" in own, name
+        for attr in (
+            "decode", "decode_tile", "decode_tiles", "decode_range", "decode_range_into"
+        ):
+            assert attr not in own, (name, attr)
 
 
 def test_registry_tile_codecs_covered():
@@ -153,11 +228,9 @@ class TestHelpers:
         assert ragged_arange(np.zeros(0, dtype=np.int64)).size == 0
 
     def test_trim_tile_chunks(self):
-        vals = np.arange(10)
-        out = trim_tile_chunks(vals, np.array([4, 6]), np.array([2, 5]))
-        assert np.array_equal(out, [0, 1, 4, 5, 6, 7, 8])
-        with pytest.raises(ValueError):
-            trim_tile_chunks(vals, np.array([4]), np.array([2]))
+        out = np.arange(10)
+        kept = compact_tile_chunks_inplace(out, np.array([4, 6]), np.array([2, 5]))
+        assert np.array_equal(out[:kept], [0, 1, 4, 5, 6, 7, 8])
 
     @staticmethod
     def _general_trim(values, chunk_lens, keep_lens):
@@ -180,8 +253,6 @@ class TestHelpers:
         keep_lens = np.array(keep_lens)
         vals = rng.integers(-1000, 1000, int(chunk_lens.sum()))
         expect = self._general_trim(vals, chunk_lens, keep_lens)
-        assert np.array_equal(trim_tile_chunks(vals, chunk_lens, keep_lens), expect)
         out = vals.copy()
         kept = compact_tile_chunks_inplace(out, chunk_lens, keep_lens)
         assert np.array_equal(out[:kept], expect)
-

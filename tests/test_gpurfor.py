@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.predicates import Range
 from repro.formats.gpufor import GpuFor
-from repro.formats.gpurfor import RFOR_BLOCK, GpuRFor, run_length_encode
+from repro.formats.gpurfor import _EXPAND_BLOCKS, RFOR_BLOCK, GpuRFor, run_length_encode
+from repro.formats.validate import CorruptTileError
 
 
 class TestRunLengthEncode:
@@ -60,8 +62,37 @@ class TestGpuRForCodec:
         values = np.repeat(rng.integers(0, 30, 400), rng.integers(1, 10, 400))
         codec = GpuRFor()
         enc = codec.encode(values)
-        tiles = [codec.decode_tile(enc, t) for t in range(codec.num_tiles(enc))]
-        assert np.array_equal(np.concatenate(tiles), values)
+        for t in range(codec.num_tiles(enc)):
+            tile = values[t * RFOR_BLOCK : (t + 1) * RFOR_BLOCK]
+            assert np.array_equal(codec.decode_tile(enc, t), tile), t
+
+    def test_batches_wider_than_one_expansion_slab(self, rng):
+        """Runs expand a slab of blocks at a time: a whole column and a
+        shuffled subset spanning several slabs, plain and fused."""
+        values = np.repeat(rng.integers(0, 500, 60_000), rng.integers(1, 9, 60_000))
+        values = values[: 3 * _EXPAND_BLOCKS * RFOR_BLOCK + 77]
+        codec = GpuRFor()
+        enc = codec.encode(values)
+        assert np.array_equal(codec.decode(enc), values)
+        tiles = rng.permutation(codec.num_tiles(enc))[: 2 * _EXPAND_BLOCKS + 5]
+        expected = np.concatenate(
+            [values[t * RFOR_BLOCK : (t + 1) * RFOR_BLOCK] for t in tiles]
+        )
+        assert np.array_equal(codec.decode_tiles(enc, tiles), expected)
+        out = np.empty(tiles.size * RFOR_BLOCK, dtype=np.int64)
+        mask = np.empty(tiles.size * RFOR_BLOCK, dtype=bool)
+        written = codec.decode_filter_tiles_into(enc, tiles, Range("c", 100, 200), out, mask)
+        assert np.array_equal(out[:written], expected)
+        assert np.array_equal(mask[:written], (expected >= 100) & (expected <= 200))
+
+    def test_run_sum_is_checked_per_block(self):
+        """Lengths that total two blocks but split 513/511 are corrupt."""
+        codec = GpuRFor()
+        enc = codec.encode(np.zeros(2 * RFOR_BLOCK, dtype=np.int64))
+        lengths = np.array([256, 257, 255, 256])
+        with pytest.raises(CorruptTileError, match="per block"):
+            codec._check_run_sum(enc, lengths, np.array([2, 4]), 0)
+        codec._check_run_sum(enc, np.array([256, 256, 255, 257]), np.array([2, 4]), 0)
 
     def test_high_run_length_beats_gpufor(self, rng):
         values = np.repeat(rng.integers(0, 1000, 2000), 64)

@@ -2,16 +2,15 @@
 
 The pluggable backends under ``repro.formats.kernels`` must be
 bit-identical: the reference NumPy phase-loop implementation is the
-oracle, and the precompiled shift-table backend (plus the optional numba
-JIT) are checked against it across every bitwidth, for ordinary,
-read-only, and strided input streams.  The fused
+oracle, and the precompiled shift-table backend is checked against it
+across every bitwidth, for ordinary, read-only, and strided input
+streams.  The fused
 ``decode_filter_tiles_into`` codec entry points are likewise checked
 against the base-class oracle (full decode, then ``row_mask``) across
 the codec registry × predicate matrix.
 """
 
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ import pytest
 from repro.engine.predicates import Equals, InSet, Range
 from repro.formats import bitio, kernels
 from repro.formats.base import TileCodec
-from repro.formats.kernels import numba_jit
 from repro.formats.kernels.numpy_ref import NumpyBackend
 from repro.formats.kernels.shift_table import (
     _GATHER_MAX,
@@ -39,14 +37,10 @@ SIZES = (1, 7, 31, 32, 33, 100, 4095, 4096, 4097, 10000)
 def _make_backend(name: str):
     if name == "numpy":
         return NumpyBackend()
-    if name == "shift-table":
-        return ShiftTableBackend()
-    if not numba_jit.AVAILABLE:
-        pytest.skip(f"numba unavailable: {numba_jit.UNAVAILABLE_REASON}")
-    return numba_jit.NumbaBackend()
+    return ShiftTableBackend()
 
 
-@pytest.fixture(params=["numpy", "shift-table", "numba"])
+@pytest.fixture(params=["numpy", "shift-table"])
 def backend(request):
     return _make_backend(request.param)
 
@@ -194,37 +188,12 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="unknown kernel backend"):
             kernels.normalize_backend_name("cuda")
 
-    def test_capability_report_shape(self):
-        report = kernels.capability_report()
-        assert report["active"] in kernels.BACKEND_NAMES
-        for name in kernels.BACKEND_NAMES:
-            entry = report["backends"][name]
-            assert isinstance(entry["available"], bool)
-            if not entry["available"]:
-                assert entry["reason"]
-
     def test_set_backend_roundtrip(self):
         previous = kernels.backend_name()
         try:
             for name in ("numpy", "shift-table"):
                 assert kernels.set_backend(name).name == name
                 assert kernels.backend_name() == name
-        finally:
-            kernels.set_backend(previous)
-
-    def test_numba_fallback_warns_when_absent(self):
-        if numba_jit.AVAILABLE:
-            pytest.skip("numba present: no fallback to exercise")
-        previous = kernels.backend_name()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                resolved = kernels.set_backend("numba")
-            assert resolved.name == "shift-table"
-            assert any("numba" in str(w.message) for w in caught)
-            report = kernels.capability_report()
-            assert report["fallback_reason"]
-            assert report["backends"]["numba"]["available"] is False
         finally:
             kernels.set_backend(previous)
 
@@ -255,10 +224,9 @@ def _datasets(rng):
 
 
 @pytest.mark.parametrize("codec_name", GPU_CODECS)
-@pytest.mark.parametrize("backend_name", ["numpy", "shift-table", "numba"])
+@pytest.mark.parametrize("backend_name", ["numpy", "shift-table"])
 class TestFusedDecodeFilter:
     def test_matches_oracle(self, codec_name, backend_name, rng):
-        _make_backend(backend_name)  # skip early when numba is absent
         previous = kernels.backend_name()
         kernels.set_backend(backend_name)
         try:
@@ -304,7 +272,6 @@ class TestFusedDecodeFilter:
 
     def test_plain_decode_unchanged(self, codec_name, backend_name, rng):
         # The regular-geometry fast paths must not change decode output.
-        _make_backend(backend_name)
         previous = kernels.backend_name()
         kernels.set_backend(backend_name)
         try:

@@ -10,6 +10,10 @@ from repro.engine.primitives import (
     block_prefix_sum,
     block_rle_expand,
 )
+from repro.formats.gpudfor import GpuDFor
+from repro.formats.gpufor import BLOCK, unpack_block_indices
+from repro.formats.gpurfor import RFOR_BLOCK, GpuRFor
+from repro.formats.ragged import RaggedPacked, unpack_ragged_blocks
 
 
 class TestBlellochScan:
@@ -110,3 +114,42 @@ class TestRleExpand:
         run_lengths = rng.integers(1, 12, run_values.size)
         out = block_rle_expand(run_values, run_lengths)
         assert np.array_equal(out, np.repeat(run_values, run_lengths))
+
+
+class TestDeviceFunctionsOnRealTiles:
+    """The block primitives reproduce the codecs' per-tile decode (the
+    paper's device functions) on tiles the encoders actually wrote."""
+
+    @pytest.mark.parametrize("tile", [0, 2, 4])
+    def test_dfor_tile_is_prefix_sum_of_deltas(self, rng, tile):
+        codec = GpuDFor(d_blocks=4)
+        values = np.sort(rng.integers(0, 2**24, 4 * 4 * BLOCK + 77))
+        enc = codec.encode(values)
+        blocks = np.arange(tile * 4, tile * 4 + 4)
+        deltas = unpack_block_indices(
+            enc.arrays["data"], enc.arrays["block_starts"], blocks
+        )
+        sums, _ = block_prefix_sum(deltas, inclusive=True)
+        expanded = sums + int(enc.arrays["first_values"][tile])
+        decoded = codec.decode_tiles(enc, [tile])
+        assert np.array_equal(expanded[: decoded.size], decoded)
+
+    @pytest.mark.parametrize("tile", [0, 3, 5])
+    def test_rfor_tile_is_rle_expand_of_runs(self, rng, tile):
+        codec = GpuRFor()
+        values = np.repeat(rng.integers(0, 1000, 400), rng.integers(1, 20, 400))
+        values = values[: 5 * RFOR_BLOCK + 123]
+        enc = codec.encode(values)
+        runs = [
+            unpack_ragged_blocks(
+                RaggedPacked(
+                    enc.arrays[f"{s}_data"], enc.arrays[f"{s}_starts"],
+                    enc.arrays["run_counts"],
+                ),
+                np.array([tile]),
+            )[0]
+            for s in ("values", "lengths")
+        ]
+        expanded = block_rle_expand(*runs, tile_size=RFOR_BLOCK)
+        decoded = codec.decode_tiles(enc, [tile])
+        assert np.array_equal(expanded[: decoded.size], decoded)

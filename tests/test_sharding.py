@@ -290,9 +290,22 @@ class TestShardedLookup:
 
 
 class TestShardedServer:
-    def test_requires_streaming(self, ssb_db, gpu_star_store):
-        with pytest.raises(ValueError, match="streaming"):
-            QueryServer(ssb_db, gpu_star_store, num_shards=2)
+    @pytest.mark.parametrize("num_shards", (2, 3))
+    def test_non_streaming_matches_streaming(self, ssb_db, gpu_star_store, num_shards):
+        """Shards of a non-streaming router run their span as one morsel:
+        same answers and same simulated ms as streaming shards."""
+        routers = [
+            ShardRouter(ssb_db, gpu_star_store, num_shards, streaming=streaming)
+            for streaming in (False, True)
+        ]
+        for qname in MATRIX_QUERIES:
+            (plain, plain_ms), (streamed, streamed_ms) = (
+                router.execute(QUERIES[qname]) for router in routers
+            )
+            assert plain == streamed, qname
+            assert repr(plain_ms) == repr(streamed_ms), qname
+        for router in routers:
+            router.close()
 
     def test_staged_plans_are_not_sharded(self, ssb_db):
         """Staged OmniSci plans sweep the whole table, so every shard
