@@ -30,11 +30,19 @@ class Lookup:
     def nbytes(self) -> int:
         return self.payload.nbytes
 
+    def covers(self, keys: np.ndarray) -> bool:
+        """Whether every key lies in the table's key range."""
+        keys = np.asarray(keys)
+        return not keys.size or (
+            int(keys.min()) >= self.key_base
+            and int(keys.max()) < self.key_base + self.payload.size
+        )
+
     def probe(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized probe; keys must lie in the table's key range."""
-        idx = np.asarray(keys, dtype=np.int64) - self.key_base
-        if idx.size and (idx.min() < 0 or idx.max() >= self.payload.size):
+        if not self.covers(keys):
             raise IndexError(f"probe key out of range for lookup {self.name!r}")
+        idx = np.asarray(keys, dtype=np.int64) - self.key_base
         return self.payload[idx].astype(np.int64)
 
 

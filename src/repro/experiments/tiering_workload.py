@@ -243,10 +243,10 @@ def run(
     """Serve the skewed mix statically and adaptively; returns a summary.
 
     The shared pool budget is ``budget_fraction`` of the store's
-    uncompressed footprint — tight enough that full decoded residency is
-    impossible, big enough that the hot set's pinned decoded images fit
-    (they displace the hot columns' compressed residents rather than add
-    to them).
+    decoded footprint (every column as the engine's int64 image) — tight
+    enough that full decoded residency is impossible, big enough that
+    the hot set's pinned decoded images fit (they displace the hot
+    columns' compressed residents rather than add to them).
     """
     if db is None:
         db = generate(scale_factor=scale_factor, seed=7)
@@ -255,8 +255,8 @@ def run(
     specs = build_workload(
         db, num_requests=num_requests, num_warmup=num_warmup, seed=seed
     )
-    uncompressed = db.num_lineorder_rows * 4 * len(LINEORDER_COLUMNS)
-    budget = max(1, int(uncompressed * budget_fraction))
+    decoded = db.num_lineorder_rows * 8 * len(LINEORDER_COLUMNS)
+    budget = max(1, int(decoded * budget_fraction))
     spill_dir = tempfile.mkdtemp(prefix="repro-tiering-") if spill else None
 
     static = _serve(db, specs, num_warmup, budget, policy=None)

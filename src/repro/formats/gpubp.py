@@ -190,16 +190,7 @@ class GpuBp(TileCodec):
                     payload, stride, BLOCK, b0, out,
                 )
                 return
-        for b in np.unique(bits):
-            sel = np.flatnonzero(bits == b)
-            if b == 0:
-                decoded[sel] = 0
-                continue
-            words_per = int(b) * BLOCK // 32
-            src = (bstarts[sel] + _HEADER_WORDS)[:, None] + np.arange(words_per)
-            words = data[src.reshape(-1)]
-            vals = bitio.unpack_bits(words, sel.size * BLOCK, int(b))
-            decoded[sel] = vals.reshape(sel.size, BLOCK).astype(np.int64)
+        _unpack_by_width(data, bstarts, bits, np.arange(n), decoded)
 
     def _decode_filter_block_indices(
         self,
@@ -231,16 +222,7 @@ class GpuBp(TileCodec):
             self._decode_block_indices(enc, blocks, out)
         else:
             decoded[np.flatnonzero(~active)] = 0
-            for b in np.unique(bits[active]):
-                sel = np.flatnonzero(active & (bits == b))
-                if b == 0:
-                    decoded[sel] = 0
-                    continue
-                words_per = int(b) * BLOCK // 32
-                src = (bstarts[sel] + _HEADER_WORDS)[:, None] + np.arange(words_per)
-                words = data[src.reshape(-1)]
-                vals = bitio.unpack_bits(words, sel.size * BLOCK, int(b))
-                decoded[sel] = vals.reshape(sel.size, BLOCK).astype(np.int64)
+            _unpack_by_width(data, bstarts, bits, np.flatnonzero(active), decoded)
         # Skipped blocks hold zeros; when a block is inactive its interval
         # misses [0, 2**b - 1] entirely (so 0 tests False) — except the
         # degenerate hi < 0 case, which the lo <= value leg handles since
@@ -282,3 +264,28 @@ class GpuBp(TileCodec):
         if bool(active.all()):
             self.verify_decoded_tiles(enc, tiles, out[:written])
         return written
+
+
+def _unpack_by_width(
+    data: np.ndarray,
+    bstarts: np.ndarray,
+    bits: np.ndarray,
+    blocks: np.ndarray,
+    decoded: np.ndarray,
+) -> None:
+    """Unpack rows ``blocks`` of a batch into ``decoded``, one pass per width.
+
+    Row ``i`` of the batch is the block whose first word is ``bstarts[i]``
+    and whose width is ``bits[i]``; ``decoded`` is ``(batch, 128)``.
+    """
+    widths = bits[blocks]
+    for b in np.unique(widths):
+        sel = blocks[widths == b]
+        if b == 0:
+            decoded[sel] = 0
+            continue
+        words_per = int(b) * BLOCK // 32
+        src = (bstarts[sel] + _HEADER_WORDS)[:, None] + np.arange(words_per)
+        words = data[src.reshape(-1)]
+        vals = bitio.unpack_bits(words, sel.size * BLOCK, int(b))
+        decoded[sel] = vals.reshape(sel.size, BLOCK).astype(np.int64)

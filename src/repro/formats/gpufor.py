@@ -264,6 +264,26 @@ def unpack_miniblocks(
         )
 
 
+def read_packed(
+    data: np.ndarray, word: np.ndarray, shift: np.ndarray, bits: np.ndarray
+) -> np.ndarray:
+    """Single packed values, each read from at most two words.
+
+    Value ``i`` is the ``bits[i]``-bit field starting ``shift[i]`` bits
+    into word ``word[i]`` of ``data`` (``0 <= shift < 32``,
+    ``bits <= 32``); the row gathers of the block codecs locate a value
+    from its block header and read it with this.  Returns int64.
+    """
+    # The clamp only bites where the second word is masked away (a
+    # zero-width or word-final value).
+    last = data.size - 1
+    lo = data.take(np.minimum(word, last)).astype(np.uint64)
+    hi = data.take(np.minimum(word + 1, last)).astype(np.uint64)
+    pair = (lo | (hi << np.uint64(32))) >> shift.astype(np.uint64)
+    diff = pair & ((np.uint64(1) << bits.astype(np.uint64)) - np.uint64(1))
+    return diff.astype(np.int64)
+
+
 def _unpack_diffs(
     data: np.ndarray, bstarts: np.ndarray, bits: np.ndarray, decoded: np.ndarray
 ) -> None:
@@ -575,14 +595,7 @@ class GpuFor(TileCodec):
         before = ((((widths << 8) * 0x01010101) & 0xFFFFFFFF) >> mini) & 0xFF
         bit = (rows & 31) * bits
         word = bstart + BLOCK_HEADER_WORDS + before + (bit >> 5)
-        # A value spans at most two words; the clamp only bites where the
-        # second word is masked away (a zero-width or word-final value).
-        last = data.size - 1
-        lo = data.take(np.minimum(word, last)).astype(np.uint64)
-        hi = data.take(np.minimum(word + 1, last)).astype(np.uint64)
-        pair = (lo | (hi << np.uint64(32))) >> (bit & 31).astype(np.uint64)
-        diff = pair & ((np.uint64(1) << bits.astype(np.uint64)) - np.uint64(1))
-        return reference + diff.astype(np.int64)
+        return reference + read_packed(data, word, bit & 31, bits)
 
     def tile_bounds(self, enc: EncodedColumn) -> tuple[np.ndarray, np.ndarray]:
         """Zero-decode bounds from the block headers.

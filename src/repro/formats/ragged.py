@@ -255,13 +255,7 @@ def unpack_ragged_blocks(
     data = packed.data
     references = data[bstarts].view(np.int32).astype(np.int64)
     bits, block_of, within = miniblock_bits(data, bstarts, counts)
-
-    # Payload word of each miniblock: its block's payload start (after
-    # the reference and the bitwidth words) plus the widths of the
-    # block's earlier miniblocks.
-    prior = np.cumsum(bits) - bits
-    payload = bstarts + 1 - (-_pad_counts(counts) // (4 * MINIBLOCK))
-    offsets = payload[block_of] + prior - prior[np.arange(bits.size) - within]
+    offsets = miniblock_offsets(bits, block_of, within, bstarts, counts)
     minis = np.empty((bits.size, MINIBLOCK), dtype=np.int64)
     unpack_miniblocks(data, offsets, bits, minis)
 
@@ -290,3 +284,20 @@ def miniblock_bits(
     within = ragged_arange(minis_per_block)
     bw_words = data[bstarts[block_of] + 1 + within // 4]
     return ((bw_words >> ((within % 4) * 8)) & 0xFF).astype(np.int64), block_of, within
+
+
+def miniblock_offsets(
+    bits: np.ndarray,
+    block_of: np.ndarray,
+    within: np.ndarray,
+    bstarts: np.ndarray,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """Payload word offset of every miniblock :func:`miniblock_bits` listed.
+
+    A miniblock's words start after its block's reference and bitwidth
+    words, plus the widths of the block's earlier miniblocks.
+    """
+    prior = np.cumsum(bits) - bits
+    payload = bstarts + 1 - (-_pad_counts(counts) // (4 * MINIBLOCK))
+    return payload[block_of] + prior - prior[np.arange(bits.size) - within]

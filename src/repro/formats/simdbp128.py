@@ -136,25 +136,8 @@ class GpuSimdBp128(TileCodec):
         bstarts = enc.arrays["block_starts"].astype(np.int64)[tiles]
         references = data[bstarts].view(np.int32).astype(np.int64)
         bits = data[bstarts + 1].astype(np.int64)
-        per_lane = VBLOCK // LANES
-
         decoded = out[: tiles.size * VBLOCK].reshape(tiles.size, VBLOCK)
-        for b in np.unique(bits):
-            sel = np.flatnonzero(bits == b)
-            if b == 0:
-                decoded[sel] = 0
-                continue
-            words_per_block = int(b) * VBLOCK // 32
-            words_per_lane = words_per_block // LANES
-            src = (bstarts[sel] + _HEADER_WORDS)[:, None] + np.arange(words_per_block)
-            words = data[src.reshape(-1)].reshape(sel.size, words_per_lane, LANES)
-            lane_stream = np.ascontiguousarray(words.transpose(0, 2, 1)).reshape(-1)
-            vals = bitio.unpack_bits(lane_stream, sel.size * VBLOCK, int(b))
-            decoded[sel] = (
-                vals.reshape(sel.size, LANES, per_lane)
-                .transpose(0, 2, 1)
-                .reshape(sel.size, VBLOCK)
-            )
+        _unpack_by_width(data, bstarts, bits, np.arange(tiles.size), decoded)
         decoded += references[:, None]
         keep = np.minimum((tiles + 1) * VBLOCK, enc.count) - tiles * VBLOCK
         written = compact_tile_chunks_inplace(
@@ -194,29 +177,13 @@ class GpuSimdBp128(TileCodec):
         bstarts = enc.arrays["block_starts"].astype(np.int64)[tiles]
         references = data[bstarts].view(np.int32).astype(np.int64)
         bits = data[bstarts + 1].astype(np.int64)
-        per_lane = VBLOCK // LANES
         lo, hi = clamp_interval(*interval)
         block_hi = references + (np.int64(1) << bits) - np.int64(1)
         active = (block_hi >= lo) & (references <= hi)
 
         decoded = out[: tiles.size * VBLOCK].reshape(tiles.size, VBLOCK)
         decoded[np.flatnonzero(~active)] = 0
-        for b in np.unique(bits[active]):
-            sel = np.flatnonzero(active & (bits == b))
-            if b == 0:
-                decoded[sel] = 0
-                continue
-            words_per_block = int(b) * VBLOCK // 32
-            words_per_lane = words_per_block // LANES
-            src = (bstarts[sel] + _HEADER_WORDS)[:, None] + np.arange(words_per_block)
-            words = data[src.reshape(-1)].reshape(sel.size, words_per_lane, LANES)
-            lane_stream = np.ascontiguousarray(words.transpose(0, 2, 1)).reshape(-1)
-            vals = bitio.unpack_bits(lane_stream, sel.size * VBLOCK, int(b))
-            decoded[sel] = (
-                vals.reshape(sel.size, LANES, per_lane)
-                .transpose(0, 2, 1)
-                .reshape(sel.size, VBLOCK)
-            )
+        _unpack_by_width(data, bstarts, bits, np.flatnonzero(active), decoded)
         # Shifted-domain compare: skipped blocks hold zero diffs, and an
         # inactive block's shifted interval cannot contain 0, so their
         # mask lands False without special-casing.
@@ -273,4 +240,39 @@ class GpuSimdBp128(TileCodec):
             compute_ops_per_element=9.0,
             tile_prologue_ops=5500.0,
             shared_bytes_per_element=8.0,
+        )
+
+
+def _unpack_by_width(
+    data: np.ndarray,
+    bstarts: np.ndarray,
+    bits: np.ndarray,
+    blocks: np.ndarray,
+    decoded: np.ndarray,
+) -> None:
+    """Unpack rows ``blocks`` of a batch into ``decoded``, one pass per width.
+
+    Row ``i`` of the batch is the vertical block whose first word is
+    ``bstarts[i]`` and whose width is ``bits[i]``; ``decoded`` is
+    ``(batch, 4096)`` and receives reference-relative values.  Each width
+    gathers its blocks' words, de-interleaves the lanes and unpacks them
+    in one call.
+    """
+    per_lane = VBLOCK // LANES
+    widths = bits[blocks]
+    for b in np.unique(widths):
+        sel = blocks[widths == b]
+        if b == 0:
+            decoded[sel] = 0
+            continue
+        words_per_block = int(b) * VBLOCK // 32
+        words_per_lane = words_per_block // LANES
+        src = (bstarts[sel] + _HEADER_WORDS)[:, None] + np.arange(words_per_block)
+        words = data[src.reshape(-1)].reshape(sel.size, words_per_lane, LANES)
+        lane_stream = np.ascontiguousarray(words.transpose(0, 2, 1)).reshape(-1)
+        vals = bitio.unpack_bits(lane_stream, sel.size * VBLOCK, int(b))
+        decoded[sel] = (
+            vals.reshape(sel.size, LANES, per_lane)
+            .transpose(0, 2, 1)
+            .reshape(sel.size, VBLOCK)
         )

@@ -386,7 +386,7 @@ class CodecTieringManager:
         codec, never an error.
         """
         values = np.asarray(col.values)
-        nbytes = values.size * 4
+        nbytes = values.nbytes
         for engine in self.engines:
             pool = getattr(engine, "pool", None)
             if pool is None:

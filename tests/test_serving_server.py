@@ -62,9 +62,10 @@ def expected(db, codec_store):
 
 
 def tight_budget(db, store):
-    """Room for the compressed store plus ~1.5 decoded images: queries
-    need up to 6 decoded columns live, so eviction is guaranteed."""
-    return store.total_bytes + int(1.5 * db.num_lineorder_rows * 8)
+    """Room for the compressed store plus one decoded image: queries
+    cache up to 6 decoded columns (GPU-RFOR keys load as runs and cache
+    none), so eviction is guaranteed."""
+    return store.total_bytes + db.num_lineorder_rows * 8
 
 
 class TestEvictionCorrectness:

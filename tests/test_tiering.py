@@ -366,3 +366,25 @@ class TestSwapUnderLiveTraffic:
         )
         assert np.array_equal(results[0].values, reference)
         server.stop()
+
+
+def test_pinned_image_is_charged_its_bytes(db):
+    """A hot column's pinned image is its int64 values: the pool ledger
+    charges exactly the image's ``nbytes``, not four bytes a value."""
+    store = load_lineorder(db, "gpu-star")
+    server = QueryServer(
+        db,
+        store,
+        budget_bytes=256_000_000,
+        tiering=TieringPolicy(
+            hot_count=1, hot_min_accesses=1.0, cold_max_accesses=0.0,
+            half_life_ms=1e6, maintenance_interval_ms=0.0,
+        ),
+    )
+    server.tiering.record_access(("lo_revenue",), amount=5.0)
+    server.tiering.run_once()
+    image = server.engine.pinned_decoded("lo_revenue")
+    assert image is not None and image.dtype == np.int64
+    assert server.pool.lookup("decoded/lo_revenue").nbytes == image.nbytes
+    server.stop()
+
