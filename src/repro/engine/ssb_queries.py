@@ -51,6 +51,13 @@ def _year_code(years: np.ndarray) -> np.ndarray:
     return years - 1992
 
 
+def _group_code(p, payload) -> np.ndarray:
+    """A probe's payloads at the pipeline's live rows, with a key that
+    has no dimension row grouping as 0."""
+    live = p.live(payload)
+    return np.where(live >= 0, live, 0)
+
+
 def _datekey_range(db, date_mask: np.ndarray) -> Range:
     """Bound ``lo_orderdate`` by the selected dimension rows' datekeys.
 
@@ -203,7 +210,7 @@ def _flight2(engine: CrystalEngine, name: str, part_mask: np.ndarray,
     orderdate = p.load("lo_orderdate")
     year = p.probe(date_lu, orderdate)
     revenue = p.load("lo_revenue")
-    codes = np.where(year >= 0, year, 0) * _BRANDS + np.where(brand >= 0, brand, 0)
+    codes = _group_code(p, year) * _BRANDS + _group_code(p, brand)
     result = p.group_sum(codes, revenue, _YEARS * _BRANDS)
     p.finish()
     return result
@@ -260,8 +267,8 @@ def _flight3(engine: CrystalEngine, name: str,
     p.filter(year != MISS)
     revenue = p.load("lo_revenue")
     codes = (
-        np.where(cgroup >= 0, cgroup, 0) * stride + np.where(sgroup >= 0, sgroup, 0)
-    ) * _YEARS + np.where(year >= 0, year, 0)
+        _group_code(p, cgroup) * stride + _group_code(p, sgroup)
+    ) * _YEARS + _group_code(p, year)
     result = p.group_sum(codes, revenue, stride * stride * _YEARS)
     p.finish()
     return result
@@ -364,7 +371,7 @@ def q4_1(engine: CrystalEngine) -> dict[int, int]:
     )
     p = engine.pipeline("q4.1")
     cnation, _, _, year, profit = _load_profit(p, date_lu, cust_lu, supp_lu, part_lu)
-    codes = np.where(year >= 0, year, 0) * _NATIONS + np.where(cnation >= 0, cnation, 0)
+    codes = _group_code(p, year) * _NATIONS + _group_code(p, cnation)
     result = p.group_sum(codes, profit, _YEARS * _NATIONS)
     p.finish()
     return result
@@ -396,8 +403,8 @@ def q4_2(engine: CrystalEngine) -> dict[int, int]:
         p, date_lu, cust_lu, supp_lu, part_lu
     )
     codes = (
-        np.where(year >= 0, year, 0) * _NATIONS + np.where(snation >= 0, snation, 0)
-    ) * _CATEGORIES + np.where(category >= 0, category, 0)
+        _group_code(p, year) * _NATIONS + _group_code(p, snation)
+    ) * _CATEGORIES + _group_code(p, category)
     result = p.group_sum(codes, profit, _YEARS * _NATIONS * _CATEGORIES)
     p.finish()
     return result
@@ -428,8 +435,8 @@ def q4_3(engine: CrystalEngine) -> dict[int, int]:
     p.filter_pushdown(_datekey_range(db, date_mask))
     _, scity, brand, year, profit = _load_profit(p, date_lu, cust_lu, supp_lu, part_lu)
     codes = (
-        np.where(year >= 0, year, 0) * _CITIES + np.where(scity >= 0, scity, 0)
-    ) * _BRANDS + np.where(brand >= 0, brand, 0)
+        _group_code(p, year) * _CITIES + _group_code(p, scity)
+    ) * _BRANDS + _group_code(p, brand)
     result = p.group_sum(codes, profit, _YEARS * _CITIES * _BRANDS)
     p.finish()
     return result

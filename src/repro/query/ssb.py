@@ -3,7 +3,7 @@
 Declares the lineorder fact, its four FK dimensions, every queryable
 attribute with its dictionary-code space, and the benchmark's measures —
 then restates all 13 SSB flights as declarative :class:`Query` specs.
-The hand-written plans in :mod:`repro.engine.ssb_queries` stay untouched
+The hand-written plans in :mod:`repro.engine.ssb_queries` stay
 as the differential-test oracle; :data:`SSB_SPECS` compiled through
 :class:`~repro.query.compiler.QueryCompiler` must match them bit for
 bit.
