@@ -1,5 +1,9 @@
 """E15 bench — Section 8: encode speed (genuine wall-clock measurement)."""
 
+import statistics
+import time
+
+import numpy as np
 from conftest import BENCH_N
 
 from repro.core.hybrid import choose_gpu_star
@@ -47,6 +51,33 @@ def test_choose_gpu_star(benchmark):
     data = uniform_bitwidth(16, min(BENCH_N, 500_000))
     choice = benchmark(choose_gpu_star, data)
     assert choice.encoded.nbytes == min(choice.candidate_bytes.values())
+
+
+def test_flush_600_rows(benchmark):
+    """A 600-row flush: GPU-* re-lays out and re-packs only the dirty units.
+
+    Records the full choice's time beside the incremental one and checks
+    that both produce the same bytes.
+    """
+    data = uniform_bitwidth(16, min(BENCH_N, 500_000))
+    rng = np.random.default_rng(600)
+    rows = rng.choice(data.size, 600, replace=False)
+    updated = data.copy()
+    updated[rows] = data[rng.integers(0, data.size, rows.size)]
+    previous = choose_gpu_star(data)
+    choice = benchmark(choose_gpu_star, updated, previous=previous, dirty_rows=rows)
+
+    full_s = []
+    for _ in range(5):
+        start = time.perf_counter()
+        full = choose_gpu_star(updated)
+        full_s.append(time.perf_counter() - start)
+    benchmark.extra_info["full_choose_ms"] = 1e3 * statistics.median(full_s)
+    assert choice.codec_name == full.codec_name
+    assert choice.candidate_bytes == full.candidate_bytes
+    assert list(choice.encoded.arrays) == list(full.encoded.arrays)
+    for key, arr in full.encoded.arrays.items():
+        assert choice.encoded.arrays[key].tobytes() == arr.tobytes(), key
 
 
 def test_decode_gpu_for(benchmark):

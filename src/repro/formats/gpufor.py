@@ -37,6 +37,7 @@ from repro.formats.base import (
     ragged_arange,
     require_mask_buffer,
     require_out_buffer,
+    splice_block_stream,
     verify_mode,
 )
 
@@ -119,7 +120,7 @@ class BlockLayout:
 
     @property
     def mean_bits(self) -> float:
-        return float(self.bits.mean()) if self.bits.size else 0.0
+        return mean_block_bits(self.data_words, self.bits.shape[0])
 
     def pack(self) -> np.ndarray:
         """Write the data words: per block the reference, the bitwidth
@@ -194,6 +195,17 @@ def layout_blocks(values: np.ndarray) -> BlockLayout:
     if int(block_starts[-1]) >= 2**32:
         raise ValueError("column too large: block start offsets exceed 32 bits")
     return BlockLayout(values, references, bits, block_starts.astype(np.uint32))
+
+
+def mean_block_bits(data_words: int, n_blocks: int) -> float:
+    """:attr:`BlockLayout.mean_bits` of a packed stream, from its size.
+
+    A block takes its two header words plus one word per miniblock bit,
+    so the words alone give the exact bitwidth sum.
+    """
+    if n_blocks == 0:
+        return 0.0
+    return (data_words - BLOCK_HEADER_WORDS * n_blocks) / (MINIBLOCKS_PER_BLOCK * n_blocks)
 
 
 def pack_blocks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -484,6 +496,49 @@ class GpuFor(TileCodec):
         )
         self.attach_tile_checksums(enc, blocks.values[: values.size])
         return enc
+
+    # -- re-encoding part of a column ---------------------------------------
+
+    #: Values per independently encoded unit: a block.
+    unit_elements = BLOCK
+
+    def unit_bytes(self, layout: ForLayout) -> np.ndarray:
+        """Packed bytes of each block of ``layout``."""
+        return 4 * np.diff(layout.blocks.block_starts.astype(np.int64))
+
+    def splice(
+        self, enc: EncodedColumn, values: np.ndarray, units: np.ndarray, layout: ForLayout
+    ) -> EncodedColumn:
+        """``encode(values)``, re-packing only the blocks ``units``.
+
+        ``enc`` encodes a column equal to ``values`` outside ``units``
+        (sorted block indices); ``layout`` is :meth:`layout` of just those
+        blocks' values, in order.  Every other block's words are copied
+        from ``enc``, which is left as it is.
+        """
+        blocks = layout.blocks
+        data, block_starts = splice_block_stream(
+            enc.arrays["data"], enc.arrays["block_starts"], units,
+            blocks.pack(), blocks.block_starts,
+        )
+        out = EncodedColumn(
+            codec=self.name,
+            count=values.size,
+            arrays={
+                "header": enc.arrays["header"].copy(),
+                "block_starts": block_starts,
+                "data": data,
+            },
+            meta={
+                "d_blocks": self._d_blocks,
+                "mean_bits": mean_block_bits(data.size, block_starts.size - 1),
+            },
+            dtype=values.dtype,
+        )
+        self.attach_tile_checksums(
+            out, values.astype(np.int64, copy=False), enc, np.unique(units // self._d_blocks)
+        )
+        return out
 
     def cascade_passes(self, enc: EncodedColumn) -> list[CascadePass]:
         decoded_bytes = enc.count * 4

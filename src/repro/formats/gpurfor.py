@@ -29,6 +29,7 @@ from repro.formats.base import (
     compact_tile_chunks_inplace,
     ragged_arange,
     require_out_buffer,
+    splice_block_stream,
     verify_mode,
 )
 from repro.formats.gpufor import read_packed
@@ -161,6 +162,62 @@ class GpuRFor(TileCodec):
         )
         self.attach_tile_checksums(enc, values.astype(np.int64, copy=False))
         return enc
+
+    # -- re-encoding part of a column ---------------------------------------
+
+    #: Values per independently encoded unit: a block, the span of its RLE.
+    unit_elements = RFOR_BLOCK
+
+    def unit_bytes(self, layout: RForLayout) -> np.ndarray:
+        """Packed bytes of each block of ``layout``, both run streams."""
+        return 4 * (
+            np.diff(layout.run_values.block_starts.astype(np.int64))
+            + np.diff(layout.run_lengths.block_starts.astype(np.int64))
+        )
+
+    def splice(
+        self, enc: EncodedColumn, values: np.ndarray, units: np.ndarray, layout: RForLayout
+    ) -> EncodedColumn:
+        """``encode(values)``, re-packing only the blocks ``units``.
+
+        ``enc`` encodes a column equal to ``values`` outside ``units``
+        (sorted block indices); ``layout`` is :meth:`layout` of just those
+        blocks' values, in order.  Every other block's runs are copied
+        from ``enc``, which is left as it is.
+        """
+        def spliced(stream: str, ragged: RaggedLayout) -> tuple[np.ndarray, np.ndarray]:
+            packed = ragged.pack()
+            return splice_block_stream(
+                enc.arrays[f"{stream}_data"], enc.arrays[f"{stream}_starts"], units,
+                packed.data, packed.block_starts,
+            )
+
+        values_data, values_starts = spliced("values", layout.run_values)
+        lengths_data, lengths_starts = spliced("lengths", layout.run_lengths)
+        run_counts = enc.arrays["run_counts"].copy()
+        run_counts[units] = layout.run_counts
+        n = values.size
+        out = EncodedColumn(
+            codec=self.name,
+            count=n,
+            arrays={
+                "header": enc.arrays["header"].copy(),
+                "run_counts": run_counts,
+                "values_starts": values_starts,
+                "values_data": values_data,
+                "lengths_starts": lengths_starts,
+                "lengths_data": lengths_data,
+            },
+            meta={
+                "d_blocks": self._d_blocks,
+                "avg_run_length": float(n / max(1, int(run_counts.sum(dtype=np.int64)))),
+            },
+            dtype=values.dtype,
+        )
+        self.attach_tile_checksums(
+            out, values.astype(np.int64, copy=False), enc, np.unique(units // self._d_blocks)
+        )
+        return out
 
     def _check_run_sum(
         self, enc: EncodedColumn, run_lengths: np.ndarray, run_ends: np.ndarray,

@@ -4,6 +4,8 @@ The oracle below is the chooser's definition: encode with all three
 schemes and keep the smallest, ties going to the earlier scheme.  The
 chooser must match it byte for byte (codec, candidate sizes, arrays,
 meta, tile CRCs) and raise the same errors, while running one ``encode``.
+Given the previous choice and the rows changed since, it must match the
+oracle just as exactly while re-encoding only the units those rows dirty.
 """
 
 from __future__ import annotations
@@ -248,6 +250,192 @@ def test_range_past_int64_is_rejected_not_wrapped(codec_cls):
         codec_cls().encode(values)
 
 
+def _updates(rng, values, cycles, rows, last_row=False):
+    """``cycles`` random update sets of ``rows`` rows each, every new value
+    another row's value, so the column keeps its distribution."""
+    n = values.size
+    out = []
+    for _ in range(cycles):
+        picked = rng.choice(n, rows, replace=False)
+        if last_row:
+            picked[:2] = (n - 1, n - 2)
+        out.append((picked, values[rng.integers(0, n, rows)]))
+    return out
+
+
+def _flush_chain(values, updates, d_blocks=4) -> list[str]:
+    """Apply ``updates`` in turn, choosing incrementally after each.
+
+    Every incremental choice must equal the oracle's (codec, sizes,
+    arrays, meta, tile CRCs) and carry the full chooser's per-unit sizes.
+    Returns the winner after every step.
+    """
+    values = np.array(values, dtype=np.int64)
+    choice = choose_gpu_star(values, d_blocks)
+    winners = [choice.codec_name]
+    for rows, new in updates:
+        values[rows] = new
+        choice = choose_gpu_star(values, d_blocks, previous=choice, dirty_rows=rows)
+        want_name, want_enc, want_sizes = oracle(values, d_blocks)
+        assert choice.codec_name == want_name
+        assert choice.candidate_bytes == want_sizes
+        assert_same_encoding(choice.encoded, want_enc)
+        full = choose_gpu_star(values, d_blocks)
+        for name in GPU_STAR_SCHEMES:
+            assert np.array_equal(choice.unit_bytes[name], full.unit_bytes[name]), name
+        winners.append(choice.codec_name)
+    return winners
+
+
+class TestIncrementalChoice:
+    """``choose_gpu_star(values, previous=..., dirty_rows=...)`` equals the
+    full choice, with checksums on and off."""
+
+    @pytest.mark.parametrize("checksums", [True, False])
+    @pytest.mark.parametrize("d_blocks", [1, 4])
+    def test_random_update_sets(self, rng, d_blocks, checksums):
+        set_checksums(checksums)
+        n = 6000
+        columns = {
+            "random": rng.integers(0, 1 << 20, n),
+            "sorted": np.sort(rng.integers(0, 1 << 24, n)),
+            "runs": np.repeat(rng.integers(0, 50, n), rng.integers(20, 60, n))[:n],
+        }
+        winners = set()
+        for values in columns.values():
+            winners.update(_flush_chain(values, _updates(rng, values, 8, 40), d_blocks))
+        assert winners == set(GPU_STAR_SCHEMES)
+
+    @pytest.mark.parametrize("checksums", [True, False])
+    @pytest.mark.parametrize("d_blocks", [1, 4])
+    def test_dirty_short_last_tile(self, rng, d_blocks, checksums):
+        set_checksums(checksums)
+        n = 5 * RFOR_BLOCK + 37
+        for values in (
+            rng.integers(0, 1 << 12, n),
+            np.repeat(rng.integers(0, 9, n), 30)[:n],
+            np.arange(n) * 3,
+        ):
+            _flush_chain(values, _updates(rng, values, 4, 25, last_row=True), d_blocks)
+
+    @pytest.mark.parametrize("checksums", [True, False])
+    def test_winner_flips_both_ways(self, rng, checksums):
+        set_checksums(checksums)
+        n = 8192
+        values = np.arange(n) * 5
+        scrambled = [
+            (rows, rng.integers(0, 1 << 20, rows.size))
+            for rows in np.array_split(rng.permutation(n), 4)
+        ]
+        restore = [(np.arange(n), np.arange(n) * 5)]
+        winners = _flush_chain(values, scrambled + restore)
+        assert winners[0] == winners[-1] == "gpu-dfor"
+        assert "gpu-for" in winners
+
+    def test_no_dirty_rows_returns_previous(self, rng):
+        choice = choose_gpu_star(rng.integers(0, 100, 3000))
+        values = np.array(choice.codec.decode(choice.encoded), dtype=np.int64)
+        assert choose_gpu_star(values, previous=choice, dirty_rows=[]) is choice
+
+    def test_previous_arrays_untouched(self, rng):
+        values = rng.integers(0, 1 << 10, 4000)
+        for_choice = choose_gpu_star(values)
+        saved = {k: a.copy() for k, a in for_choice.encoded.arrays.items()}
+        saved_crcs = for_choice.encoded.meta["tile_crcs"].copy()
+        values[[3, 700, 3999]] = [1, 2, 3]
+        choose_gpu_star(values, previous=for_choice, dirty_rows=[3, 700, 3999])
+        for key, arr in saved.items():
+            assert for_choice.encoded.arrays[key].tobytes() == arr.tobytes(), key
+        assert for_choice.encoded.meta["tile_crcs"].tobytes() == saved_crcs.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows,new",
+        [
+            (np.array([5]), np.array([2**40])),
+            (np.arange(128), np.full(128, 2**31)),
+            (np.arange(1024), np.tile(2**31 + 5 - np.arange(128) * 2**24, 8)),
+        ],
+        ids=["block-range", "reference", "dfor-first-value"],
+    )
+    def test_errors_match_full_chooser(self, rows, new):
+        values = np.arange(3000, dtype=np.int64)
+        previous = choose_gpu_star(values)
+        values[rows] = new
+        with pytest.raises(ValueError) as full:
+            choose_gpu_star(values)
+        with pytest.raises(ValueError) as incremental:
+            choose_gpu_star(values, previous=previous, dirty_rows=rows)
+        assert str(incremental.value) == str(full.value)
+
+    def test_bad_arguments(self, rng):
+        values = rng.integers(0, 100, 1000)
+        previous = choose_gpu_star(values)
+        with pytest.raises(ValueError, match="needs dirty_rows"):
+            choose_gpu_star(values, previous=previous)
+        with pytest.raises(ValueError, match="needs the previous choice"):
+            choose_gpu_star(values, dirty_rows=[1])
+        with pytest.raises(ValueError, match="d_blocks=4, not 2"):
+            choose_gpu_star(values, 2, previous=previous, dirty_rows=[1])
+        with pytest.raises(ValueError, match="encodes 1000 values"):
+            choose_gpu_star(values[:-1], previous=previous, dirty_rows=[1])
+        with pytest.raises(IndexError, match="dirty rows"):
+            choose_gpu_star(values, previous=previous, dirty_rows=[1000])
+
+
+class TestFlush:
+    def test_flushes_match_full_choice(self, rng):
+        values = rng.integers(0, 1 << 14, 7000)
+        column = UpdatableColumn(values)
+        for rows, new in _updates(rng, values, 6, 50, last_row=True):
+            column.update_many(rows, new)
+            column.flush(GPUDevice())
+            want_name, want_enc, _ = oracle(column.values)
+            assert column.codec_name == want_name
+            assert_same_encoding(column.encoded, want_enc)
+
+    def test_failed_flush_leaves_column_unchanged(self):
+        column = UpdatableColumn(np.arange(2000))
+        encoded, codec_name = column.encoded, column.codec_name
+        flushed = []
+        column.add_invalidation_hook(flushed.append)
+        column.update(5, 2**40)
+        with pytest.raises(ValueError, match="per-block value range exceeds 32 bits"):
+            column.flush(GPUDevice())
+        assert column.read(5) == 2**40
+        assert column.snapshot()[5] == 2**40
+        assert column.pending_updates == 1
+        assert int(column.values[5]) == 5
+        assert column.encoded is encoded and column.codec_name == codec_name
+        assert flushed == []
+        # The column still flushes once the bad value is overwritten.
+        column.update(5, 7)
+        column.flush(GPUDevice())
+        assert column.pending_updates == 0 and flushed == [column]
+        expect = np.arange(2000)
+        expect[5] = 7
+        assert_same_encoding(column.encoded, oracle(expect)[1])
+        assert np.array_equal(column.snapshot(), expect)
+
+    def test_empty_flush_does_no_encoding_work(self, rng, monkeypatch):
+        column = UpdatableColumn(rng.integers(0, 1000, 3000))
+        encoded = column.encoded
+        flushed = []
+        column.add_invalidation_hook(flushed.append)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an empty flush laid out or packed a column")
+
+        for cls in CODEC_CLASSES:
+            for attr in ("layout", "encode", "splice"):
+                monkeypatch.setattr(cls, attr, forbidden)
+        report = column.flush(GPUDevice())
+        assert column.encoded is encoded
+        assert flushed == [column]
+        assert report.updates_applied == 0
+        assert report.compressed_bytes == encoded.nbytes
+        assert report.codec_name == column.codec_name
+
+
 class TestOneEncodePerChoice:
     @pytest.fixture
     def encode_calls(self, monkeypatch):
@@ -263,12 +451,23 @@ class TestOneEncodePerChoice:
         return calls
 
     def test_flush_encodes_once(self, rng, encode_calls):
+        """A flush that changes the winner encodes the new one in full."""
+        column = UpdatableColumn(np.arange(5120))
+        assert column.codec_name == "gpu-dfor"
+        column.update_many(np.arange(5120), rng.integers(0, 1 << 20, 5120))
+        encode_calls.clear()
+        column.flush(GPUDevice())
+        assert encode_calls == [column.codec_name] == ["gpu-for"]
+
+    def test_flush_with_same_winner_encodes_nothing(self, rng, encode_calls):
+        """A flush whose winner holds re-packs only the dirty units."""
         column = UpdatableColumn(rng.integers(0, 1000, 5000))
+        codec_name = column.codec_name
         column.update_many(np.arange(0, 5000, 97), np.arange(0, 5000, 97))
         encode_calls.clear()
         column.flush(GPUDevice())
-        assert len(encode_calls) == 1
-        assert encode_calls == [column.codec_name]
+        assert column.codec_name == codec_name
+        assert encode_calls == []
 
     def test_compress_column_encodes_once(self, rng, encode_calls):
         stored = compress_column("c", rng.integers(0, 1000, 5000), "gpu-star")

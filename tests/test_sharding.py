@@ -18,7 +18,7 @@ from repro.core.updates import UpdatableColumn
 from repro.engine.crystal import TILE, CrystalEngine
 from repro.engine.predicates import And, Range
 from repro.engine.ssb_queries import QUERIES, make_flight1, make_scan
-from repro.formats import set_checksums, set_verify_mode
+from repro.formats import get_codec, set_checksums, set_verify_mode
 from repro.serving import (
     FaultInjector,
     MetricsRegistry,
@@ -28,7 +28,7 @@ from repro.serving import (
     codec_tile_alignment,
     labeled,
 )
-from repro.ssb.loader import load_lineorder
+from repro.ssb.loader import compress_column, load_lineorder
 from tests.test_streaming import (
     GPU_CODECS,
     MATRIX_QUERIES,
@@ -490,6 +490,47 @@ class TestShardedServer:
         assert expect != before, "update must be visible in the aggregate"
         assert after == expect, "a shard served stale pre-flush bytes"
         router.close()
+
+    def test_tile_granular_flushes_answer_like_a_rebuilt_store(
+        self, ssb_db, monkeypatch
+    ):
+        """20 flushes that each re-pack only their dirty units: 1 and 2
+        shards answer bit-identically after every one, and after the last
+        exactly as a store freshly built from the final values."""
+        name = "lo_extendedprice"
+        queries = [QUERIES[q] for q in ("q1.1", "q1.2", "q1.3")]
+        ucol = UpdatableColumn(ssb_db.lineorder[name])
+        routers = []
+        for num_shards in (1, 2):
+            router = ShardRouter(ssb_db, load_lineorder(ssb_db, "gpu-star"), num_shards)
+            router.bind_updatable(name, ucol)
+            routers.append(router)
+        codec = type(get_codec(ucol.codec_name))
+        full_encodes = []
+        original = codec.encode
+
+        def counted(self, *args, **kwargs):
+            full_encodes.append(self.name)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(codec, "encode", counted)
+        rng = np.random.default_rng(20)
+        n = ssb_db.num_lineorder_rows
+        for _ in range(20):
+            rows = rng.choice(n, 60, replace=False)
+            ucol.update_many(rows, ucol.values[rng.integers(0, n, rows.size)])
+            ucol.flush(routers[0].shards[0].device)
+            answers = [[r.execute(q)[0] for q in queries] for r in routers]
+            assert answers[0] == answers[1]
+        assert full_encodes == [], "a flush re-encoded the whole column"
+
+        fresh = load_lineorder(ssb_db, "gpu-star")
+        fresh.columns[name] = compress_column(name, ucol.values, "gpu-star")
+        assert fresh[name].codec_name == ucol.codec_name
+        expect = [CrystalEngine(ssb_db, fresh, streaming=True).run(q).groups for q in queries]
+        assert answers[0] == expect
+        for router in routers:
+            router.close()
 
     def test_quarantined_column_degrades_structurally(self, ssb_db, hardened):
         """Persistent corruption on one column: sharded serving answers
