@@ -1,8 +1,8 @@
-"""Extension benches: multi-GPU scaling and the interconnect sweep."""
+"""Extension bench: multi-GPU scaling."""
 
 from conftest import BENCH_N, run_once
 
-from repro.experiments import interconnect_sweep, multigpu_scaling
+from repro.experiments import multigpu_scaling
 from repro.experiments.common import print_experiment
 
 
@@ -14,13 +14,3 @@ def test_multigpu_scaling(benchmark):
     by_devices = {r["devices"]: r for r in rows}
     assert by_devices[4]["speedup"] > 3.0
     assert by_devices[8]["speedup"] > 5.5
-
-
-def test_interconnect_sweep(benchmark, bench_db):
-    rows = run_once(benchmark, interconnect_sweep.run, db=bench_db)
-    print_experiment(
-        "Extension — coprocessor speedup vs link generation", rows
-    )
-    speedups = [r["speedup"] for r in rows]
-    assert speedups == sorted(speedups, reverse=True)
-    assert 1.8 < speedups[0] < 3.2  # PCIe3 row == Figure 12

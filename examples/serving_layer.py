@@ -13,8 +13,7 @@ import threading
 
 import numpy as np
 
-from repro import generate_ssb, load_lineorder
-from repro.experiments.serving_workload import decoded_working_set_bytes
+from repro import QUERIES, generate_ssb, load_lineorder
 from repro.serving import QueryServer, ServerSaturated
 
 QUERY_MIX = ("q1.1", "q2.1", "q3.1", "q4.1")
@@ -39,13 +38,16 @@ def main(scale_factor: float = 0.01) -> None:
     db = generate_ssb(scale_factor=scale_factor)
     store = load_lineorder(db, "gpu-star")
 
-    # Budget: the compressed store plus ~40% of the decoded working set,
-    # so the pool must evict decoded images while serving.
-    budget = store.total_bytes + int(0.4 * decoded_working_set_bytes(db))
+    # Budget: the compressed store plus ~40% of the decoded working set
+    # (every int64 image the query mix can materialize), so the pool must
+    # evict decoded images while serving.
+    columns = {c for name in QUERY_MIX for c in QUERIES[name].columns}
+    decoded_ws = len(columns) * db.num_lineorder_rows * 8
+    budget = store.total_bytes + int(0.4 * decoded_ws)
     print(
         f"budget {budget / 1e6:.1f} MB  "
         f"(compressed {store.total_bytes / 1e6:.1f} MB, decoded working set "
-        f"{decoded_working_set_bytes(db) / 1e6:.1f} MB)\n"
+        f"{decoded_ws / 1e6:.1f} MB)\n"
     )
 
     server = QueryServer(db, store, budget_bytes=budget,

@@ -16,7 +16,6 @@ import sys
 from repro.experiments import (
     ablation_miniblocks,
     ablation_vertical,
-    compiler_workload,
     compression_speed,
     fault_injection,
     fig5_blocks_per_tb,
@@ -26,18 +25,13 @@ from repro.experiments import (
     fig10_decompression,
     fig11_ssb_queries,
     fig12_coprocessor,
-    interconnect_sweep,
     lightweight_vs_entropy,
     multigpu_scaling,
-    sharding_workload,
     opt_ladder,
-    pushdown_sweep,
     random_access,
     related_work,
-    semcache_workload,
     sensitivity_gpu,
-    serving_workload,
-    streaming_scan,
+    sharding_workload,
     tiering_workload,
 )
 
@@ -51,22 +45,16 @@ EXPERIMENTS = {
     "fig9": (fig9_ssb_compression, "E9  — Figure 9: SSB compression"),
     "fig10": (fig10_decompression, "E10/E11 — Figure 10: decompression"),
     "fig11": (fig11_ssb_queries, "E12 — Figure 11: SSB queries"),
-    "fig12": (fig12_coprocessor, "E13 — Figure 12: coprocessor"),
+    "fig12": (fig12_coprocessor, "E13/X6 — Figure 12: coprocessor, per link generation"),
     "random_access": (random_access, "E14 — §8 random access"),
     "compression_speed": (compression_speed, "E15 — §8 compression speed"),
-    "sensitivity": (sensitivity_gpu, "extension — V100 vs A100"),
-    "related_work": (related_work, "extension — VByte/PFOR/Simple-8b vs GPU-FOR"),
-    "pushdown": (pushdown_sweep, "extension — metadata tile skipping vs selectivity"),
-    "interconnect": (interconnect_sweep, "extension — coprocessor speedup vs link generation"),
-    "multigpu": (multigpu_scaling, "extension — sharded SSB scan scaling"),
-    "entropy": (lightweight_vs_entropy, "claims — §2.2: lightweight captures most gains"),
-    "serving": (serving_workload, "extension — serving layer: pool + scheduler under load"),
-    "streaming": (streaming_scan, "extension — morsel streaming vs materialized execution"),
-    "semcache": (semcache_workload, "extension — semantic result cache: drill-down reuse"),
-    "faults": (fault_injection, "extension — corruption matrix + fault-injected serving"),
-    "sharding": (sharding_workload, "extension — sharded serving: tile-range shards + zone-map routing"),
-    "tiering": (tiering_workload, "extension — workload-adaptive codec tiering vs static planner"),
-    "compiler": (compiler_workload, "extension — star-schema query compiler vs hand-written flights"),
+    "related_work": (related_work, "X2  — VByte/PFOR/Simple-8b vs GPU-FOR"),
+    "sensitivity": (sensitivity_gpu, "X3  — V100 vs A100"),
+    "multigpu": (multigpu_scaling, "X4  — sharded SSB scan scaling"),
+    "entropy": (lightweight_vs_entropy, "X5  — §2.2: lightweight captures most gains"),
+    "tiering": (tiering_workload, "X7  — workload-adaptive codec tiering vs static planner"),
+    "sharding": (sharding_workload, "X8  — sharded serving: tile-range shards + zone-map routing"),
+    "faults": (fault_injection, "X9  — corruption matrix + fault-injected serving"),
 }
 
 

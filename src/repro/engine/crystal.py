@@ -41,7 +41,6 @@ import numpy as np
 from repro.core.nvcomp import decompress_nvcomp
 from repro.core.planner import decompress_planned
 from repro.core.tile_decompress import decompress
-from repro.formats import kernels
 from repro.formats.base import (
     EncodedColumn,
     TileCodec,
@@ -245,7 +244,6 @@ class CrystalEngine:
         streaming: bool = False,
         stream_workers: int = 4,
         morsel_tiles: int | None = None,
-        kernel_backend: str | None = None,
         tile_span: tuple[int, int] | None = None,
     ):
         self.db = db
@@ -273,14 +271,6 @@ class CrystalEngine:
         #: Engine tiles per streaming morsel; pins the semantic cache's
         #: partial grid too.  ``None`` derives the width per query.
         self.morsel_tiles = morsel_tiles
-        # Bit-packing kernel backend (process-global: the backend layer
-        # holds precompiled per-bitwidth plans, not per-engine state).
-        # ``None`` keeps the process default (REPRO_KERNEL_BACKEND env or
-        # the precompiled shift-table plans).
-        if kernel_backend is not None:
-            kernels.set_backend(kernel_backend)
-        #: Resolved backend name actually serving this engine's decodes.
-        self.kernel_backend = kernels.backend_name()
         #: Optional serving MetricsRegistry receiving per-morsel timings
         #: and the peak decoded-bytes gauge (set by the QueryServer).
         self.metrics = None

@@ -5,7 +5,6 @@ returning rows and a printable ``main()``."""
 from repro.experiments import (
     ablation_miniblocks,
     ablation_vertical,
-    compiler_workload,
     compression_speed,
     fig5_blocks_per_tb,
     fig7_bitwidths,
@@ -14,25 +13,19 @@ from repro.experiments import (
     fig10_decompression,
     fig11_ssb_queries,
     fig12_coprocessor,
-    interconnect_sweep,
     lightweight_vs_entropy,
     multigpu_scaling,
     opt_ladder,
-    pushdown_sweep,
     random_access,
     related_work,
-    semcache_workload,
     sensitivity_gpu,
-    serving_workload,
     sharding_workload,
-    streaming_scan,
     tiering_workload,
 )
 
 __all__ = [
     "ablation_miniblocks",
     "ablation_vertical",
-    "compiler_workload",
     "compression_speed",
     "fig10_decompression",
     "fig11_ssb_queries",
@@ -41,17 +34,12 @@ __all__ = [
     "fig7_bitwidths",
     "fig8_distributions",
     "fig9_ssb_compression",
-    "interconnect_sweep",
     "lightweight_vs_entropy",
     "multigpu_scaling",
     "opt_ladder",
-    "pushdown_sweep",
     "random_access",
     "related_work",
-    "semcache_workload",
     "sensitivity_gpu",
-    "serving_workload",
     "sharding_workload",
-    "streaming_scan",
     "tiering_workload",
 ]

@@ -12,17 +12,13 @@ actual pack/unpack work to one of the backends registered here:
   little-endian hosts) take dtype-view fast paths that skip the window
   machinery entirely (:mod:`repro.formats.kernels.shift_table`).
 
-Selection: the ``REPRO_KERNEL_BACKEND`` environment variable at import,
-:func:`set_backend` at runtime, or ``CrystalEngine(kernel_backend=...)``
-/ ``QueryServer(kernel_backend=...)`` at the engine level.  Every
-backend is bit-identical to the oracle by contract; the test suite
-enforces it across the full bitwidth matrix.
+Selection: :func:`set_backend` at runtime; the choice is process-global
+(the backends hold precomputed per-bitwidth plans, not per-engine
+state).  Every backend is bit-identical to the oracle by contract; the
+test suite enforces it across the full bitwidth matrix.
 """
 
 from __future__ import annotations
-
-import os
-import warnings
 
 import numpy as np
 
@@ -149,43 +145,27 @@ _FACTORIES = {
     "shift-table": _make_shift_table,
 }
 
-#: Spelling aliases accepted from the environment / engine kwargs.
-_ALIASES = {"shift_table": "shift-table", "shifttable": "shift-table", "ref": "numpy"}
-
 _active: KernelBackend | None = None
-
-
-def normalize_backend_name(name: str) -> str:
-    """Resolve aliases; raises ``ValueError`` for unknown backends."""
-    canon = _ALIASES.get(name.strip().lower(), name.strip().lower())
-    if canon not in _FACTORIES:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; expected one of {BACKEND_NAMES}"
-        )
-    return canon
 
 
 def set_backend(name: str) -> KernelBackend:
     """Activate a backend by name and return it."""
     global _active
-    _active = _FACTORIES[normalize_backend_name(name)]()
+    if name not in _FACTORIES:
+        raise ValueError(
+            f"unknown kernel backend {name!r}; expected one of {BACKEND_NAMES}"
+        )
+    _active = _FACTORIES[name]()
     return _active
 
 
 def get_backend() -> KernelBackend:
-    """The active backend (initialising from the environment on first use)."""
-    global _active
+    """The active backend (the default on first use)."""
     if _active is None:
-        requested = os.environ.get("REPRO_KERNEL_BACKEND", _DEFAULT_BACKEND)
-        try:
-            normalize_backend_name(requested)
-        except ValueError as exc:
-            warnings.warn(f"REPRO_KERNEL_BACKEND: {exc}", RuntimeWarning)
-            requested = _DEFAULT_BACKEND
-        set_backend(requested)
+        return set_backend(_DEFAULT_BACKEND)
     return _active
 
 
 def backend_name() -> str:
-    """Name of the active backend (resolving the environment default)."""
+    """Name of the active backend."""
     return get_backend().name

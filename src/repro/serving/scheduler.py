@@ -165,7 +165,6 @@ class QueryServer:
         max_retries: int = 2,
         retry_backoff_ms: float = 5.0,
         verify_cached: bool = False,
-        kernel_backend: str | None = None,
         trim_arenas_when_idle: bool = True,
         semantic_cache: bool = False,
         semcache_budget_bytes: int | None = None,
@@ -182,10 +181,6 @@ class QueryServer:
         if max_retries < 0:
             raise ValueError(f"max_retries must be non-negative, got {max_retries}")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        if kernel_backend is not None:
-            # Backend selection is process-global; resolve it before the
-            # shard engines snapshot the active backend name.
-            kernels.set_backend(kernel_backend)
         #: Every group runs through the router: ``num_shards`` tile-range
         #: shards, each with its own device, pool and engine.
         self.router = ShardRouter(
@@ -204,8 +199,8 @@ class QueryServer:
             replicate_columns=replicate_columns,
         )
         self.store = store
-        # Shard 0 is the introspection point (kernel backend, pushdown
-        # flags, fault hooks, ...); at one shard it is the whole device.
+        # Shard 0 is the introspection point (pushdown flags, fault
+        # hooks, ...); at one shard it is the whole device.
         shard = self.router.shards[0]
         self.device = shard.device
         self.engine = shard.engine
@@ -234,9 +229,9 @@ class QueryServer:
         #: Release streaming decode-arena scratch when the scheduler
         #: thread has seen the queue empty for consecutive waits.
         self.trim_arenas_when_idle = trim_arenas_when_idle
-        # The resolved (post-fallback) bit-packing backend, visible to
-        # scrapes next to the latency series.
-        self.metrics.set_info("kernel_backend", self.engine.kernel_backend)
+        # The process-global bit-packing backend, visible to scrapes next
+        # to the latency series.
+        self.metrics.set_info("kernel_backend", kernels.backend_name())
         self.max_queue = max_queue
         self.batch_window = batch_window
         self.default_timeout_ms = default_timeout_ms

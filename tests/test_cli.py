@@ -1,6 +1,9 @@
 """The ``python -m repro`` command-line entry point."""
 
+import pkgutil
+from collections import Counter
 
+import repro.experiments
 from repro.__main__ import EXPERIMENTS, main
 
 
@@ -42,3 +45,16 @@ class TestCli:
         for name, (module, description) in EXPERIMENTS.items():
             assert callable(module.main), name
             assert description
+
+    def test_every_experiment_module_registered_once(self):
+        # An experiment module without a CLI entry is orphaned; one with two
+        # entries runs twice under ``all``.
+        modules = {
+            info.name
+            for info in pkgutil.iter_modules(repro.experiments.__path__)
+        } - {"common"}
+        registered = Counter(
+            module.__name__.rsplit(".", 1)[-1] for module, _ in EXPERIMENTS.values()
+        )
+        assert set(registered) == modules
+        assert all(count == 1 for count in registered.values()), registered

@@ -21,7 +21,6 @@ from repro.experiments import (
     fig12_coprocessor,
     opt_ladder,
     random_access,
-    streaming_scan,
 )
 from repro.experiments.common import format_table, geomean
 from repro.ssb.dbgen import generate
@@ -261,17 +260,3 @@ class TestAblations:
         four, single = rows
         assert single["bits_per_int"] > four["bits_per_int"] + 2
 
-
-class TestStreamingScan:
-    def test_rows_and_bit_identity(self, small_db):
-        # run() raises AssertionError itself if any worker count ever
-        # disagrees with the materialized answer.
-        rows = streaming_scan.run(
-            db=small_db, queries=("q1.1",), workers=(1, 2), reps=1
-        )
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["query"] == "q1.1"
-        assert row["peak_MB_materialized"] > 0
-        assert row["peak_MB_stream"] > 0
-        assert row["wall_speedup"] > 0

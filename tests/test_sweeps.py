@@ -1,8 +1,8 @@
-"""Extension sweeps: interconnect generations, sensitivity experiment."""
+"""Extension sweeps: Figure 12 per link generation, sensitivity experiment."""
 
 import pytest
 
-from repro.experiments import interconnect_sweep, sensitivity_gpu
+from repro.experiments import fig12_coprocessor, sensitivity_gpu
 from repro.ssb.dbgen import generate
 
 
@@ -14,10 +14,15 @@ def small_db():
 class TestInterconnectSweep:
     @pytest.fixture(scope="class")
     def rows(self, small_db):
-        return interconnect_sweep.run(db=small_db)
+        return fig12_coprocessor.run_link_sweep(db=small_db)
 
-    def test_pcie3_matches_fig12(self, rows):
+    def test_pcie3_matches_fig12(self, rows, small_db):
+        # Same link, projection and queries: the PCIe3 row is Figure 12's
+        # geomean speedup bit for bit.
         pcie3 = next(r for r in rows if r["link"] == "PCIe3 x16")
+        fig12 = fig12_coprocessor.run(db=small_db)
+        geo = next(r for r in fig12 if r["query"] == "geomean")
+        assert pcie3["speedup"] == geo["speedup"]
         assert 1.8 < pcie3["speedup"] < 3.2  # Figure 12's 2.3x
 
     def test_speedup_decays_with_bandwidth(self, rows):
@@ -30,7 +35,7 @@ class TestInterconnectSweep:
         assert nvlink4["speedup"] < pcie3["speedup"] / 1.5
 
     def test_all_links_present(self, rows):
-        assert {r["link"] for r in rows} == set(interconnect_sweep.LINKS)
+        assert {r["link"] for r in rows} == set(fig12_coprocessor.LINKS)
 
 
 class TestSensitivity:
