@@ -39,11 +39,15 @@ class Lookup:
         )
 
     def probe(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized probe; keys must lie in the table's key range."""
+        """Vectorized probe; keys must lie in the table's key range.
+
+        Returns the payloads as stored, 4-byte ints: callers widen before
+        group-code arithmetic.
+        """
         if not self.covers(keys):
             raise IndexError(f"probe key out of range for lookup {self.name!r}")
-        idx = np.asarray(keys, dtype=np.int64) - self.key_base
-        return self.payload[idx].astype(np.int64)
+        # One intp index array: numpy would convert any other index to it.
+        return self.payload.take(np.subtract(keys, self.key_base, dtype=np.intp))
 
 
 def make_lookup(

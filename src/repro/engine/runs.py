@@ -128,7 +128,10 @@ class RunColumn(np.lib.mixins.NDArrayOperatorsMixin):
             )
         if any(isinstance(x, RunColumn) for x in kwargs.get("out", ())):
             return NotImplemented
-        args = (np.asarray(x) if isinstance(x, RunColumn) else x for x in inputs)
+        args = (
+            np.asarray(x) if isinstance(x, np.lib.mixins.NDArrayOperatorsMixin) else x
+            for x in inputs
+        )
         return getattr(ufunc, method)(*args, **kwargs)
 
 

@@ -52,10 +52,10 @@ def _year_code(years: np.ndarray) -> np.ndarray:
 
 
 def _group_code(p, payload) -> np.ndarray:
-    """A probe's payloads at the pipeline's live rows, with a key that
-    has no dimension row grouping as 0."""
-    live = p.live(payload)
-    return np.where(live >= 0, live, 0)
+    """A probe's payloads at the pipeline's live rows, widened to int64 for
+    group-code arithmetic, with a key that has no dimension row grouping
+    as 0."""
+    return np.maximum(p.live(payload), 0, dtype=np.int64)
 
 
 def _datekey_range(db, date_mask: np.ndarray) -> Range:
@@ -349,7 +349,9 @@ def _load_profit(p, date_lu, cust_lu, supp_lu, part_lu):
     p.filter(year != MISS)
     revenue = p.load("lo_revenue")
     supplycost = p.load("lo_supplycost")
-    return cpay, spay, ppay, year, revenue - supplycost
+    # Loads may decode into int32: widen before the subtraction.
+    profit = p.live(revenue).astype(np.int64) - p.live(supplycost)
+    return cpay, spay, ppay, year, profit
 
 
 def q4_1(engine: CrystalEngine) -> dict[int, int]:

@@ -157,9 +157,10 @@ def unpack_bits_strided_into(
     """:func:`unpack_bits_strided` writing straight into ``out``.
 
     ``out`` is a 1-D integer buffer of at least ``n_blocks *
-    count_per_block`` elements (the block codecs pass their int64 decode
-    scratch); skipping the intermediate uint32 array halves the memory
-    traffic at byte-aligned widths.
+    count_per_block`` elements (the block codecs pass their int32 or
+    int64 decode scratch; an int32 keeps a 32-bit value's bit pattern);
+    skipping the intermediate uint32 array halves the memory traffic at
+    byte-aligned widths.
     """
     data = _validate_strided(
         data, first_word, n_blocks, payload_words, stride_words, count_per_block, bits

@@ -28,6 +28,7 @@ from repro.formats.base import (
     ragged_arange,
     require_mask_buffer,
     require_out_buffer,
+    shifted_interval_mask,
 )
 from repro.formats.gpufor import BLOCK, bit_length
 
@@ -171,7 +172,7 @@ class GpuBp(TileCodec):
         self, enc: EncodedColumn, blocks: np.ndarray, out: np.ndarray
     ) -> None:
         """Decode a non-empty batch of blocks into ``out``, one pass per
-        bitwidth (``out`` holds at least ``blocks.size * 128`` int64)."""
+        bitwidth (``out`` holds at least ``blocks.size * 128`` values)."""
         n = blocks.size
         bstarts = enc.arrays["block_starts"].astype(np.int64)[blocks]
         data = enc.arrays["data"]
@@ -223,13 +224,11 @@ class GpuBp(TileCodec):
         else:
             decoded[np.flatnonzero(~active)] = 0
             _unpack_by_width(data, bstarts, bits, np.flatnonzero(active), decoded)
-        # Skipped blocks hold zeros; when a block is inactive its interval
-        # misses [0, 2**b - 1] entirely (so 0 tests False) — except the
-        # degenerate hi < 0 case, which the lo <= value leg handles since
-        # then lo <= hi < 0 <= 0.  Either way no special-casing needed.
-        m2 = mask[: n * BLOCK].reshape(n, BLOCK)
-        np.greater_equal(decoded, np.int64(max(lo, 0)), out=m2)
-        m2 &= decoded <= np.int64(hi)
+        # Raw magnitudes are diffs from a zero reference.
+        shifted_interval_mask(
+            decoded, np.zeros(n, dtype=np.int64), active, lo, hi,
+            mask[: n * BLOCK].reshape(n, BLOCK),
+        )
         return active
 
     def decode_filter_tiles_into(
@@ -288,4 +287,4 @@ def _unpack_by_width(
         src = (bstarts[sel] + _HEADER_WORDS)[:, None] + np.arange(words_per)
         words = data[src.reshape(-1)]
         vals = bitio.unpack_bits(words, sel.size * BLOCK, int(b))
-        decoded[sel] = vals.reshape(sel.size, BLOCK).astype(np.int64)
+        decoded[sel] = vals.reshape(sel.size, BLOCK)

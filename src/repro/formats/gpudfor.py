@@ -221,17 +221,7 @@ class GpuDFor(TileCodec):
         if tiles.size == 0:
             return 0
         self.validate_for_decode(enc)
-        # The encoder pads to whole tiles, so every tile holds exactly
-        # ``d`` blocks and the delta chains restart at tile boundaries —
-        # one batched unpack plus a row-wise scan decodes the lot.
-        blocks = (tiles[:, None] * d + np.arange(d)).reshape(-1)
-        deltas = unpack_block_indices(
-            enc.arrays["data"], enc.arrays["block_starts"], blocks, out=out
-        ).reshape(tiles.size, tile)
-        # The in-place pipeline: deltas -> inclusive scan -> + first value,
-        # all inside the caller's scratch.
-        np.cumsum(deltas, axis=1, out=deltas)
-        deltas += enc.arrays["first_values"].astype(np.int64)[tiles, None]
+        self._decode_values(enc, tiles, out)
         keep = np.minimum((tiles + 1) * tile, enc.count) - tiles * tile
         written = compact_tile_chunks_inplace(
             out, np.full(tiles.size, tile, dtype=np.int64), keep
@@ -264,27 +254,43 @@ class GpuDFor(TileCodec):
         if tiles.size == 0:
             return 0
         self.validate_for_decode(enc)
-        blocks = (tiles[:, None] * d + np.arange(d)).reshape(-1)
-        deltas = unpack_block_indices(
-            enc.arrays["data"], enc.arrays["block_starts"], blocks, out=out
-        ).reshape(tiles.size, tile)
-        np.cumsum(deltas, axis=1, out=deltas)
-        deltas += enc.arrays["first_values"].astype(np.int64)[tiles, None]
-        padded = out[: tiles.size * tile]
+        padded = self._decode_values(enc, tiles, out)
         m2 = mask[: tiles.size * tile]
         interval = predicate_interval(predicate)
         if interval is None:
             m2[:] = predicate.row_mask(padded)
         else:
+            # Python-int bounds compare exactly in the buffer's dtype.
             lo, hi = interval
-            np.greater_equal(padded, np.int64(lo), out=m2)
-            m2 &= padded <= np.int64(hi)
+            np.greater_equal(padded, lo, out=m2)
+            m2 &= padded <= hi
         chunk = np.full(tiles.size, tile, dtype=np.int64)
         keep = np.minimum((tiles + 1) * tile, enc.count) - tiles * tile
         written = compact_tile_chunks_inplace(out, chunk, keep)
         compact_tile_chunks_inplace(mask, chunk, keep)
         self.verify_decoded_tiles(enc, tiles, out[:written])
         return written
+
+    def _decode_values(
+        self, enc: EncodedColumn, tiles: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        """Decode whole ``tiles`` into ``out``; returns the padded values.
+
+        The encoder pads to whole tiles, so every tile holds exactly ``d``
+        blocks and the delta chains restart at tile boundaries: one
+        batched unpack plus a row-wise scan decodes the lot, in place in
+        the caller's scratch (deltas, inclusive scan, + first value).  In
+        an int32 buffer the scan wraps modulo ``2**32``, exact for values
+        that fit.
+        """
+        d = self.d_blocks(enc)
+        blocks = (tiles[:, None] * d + np.arange(d)).reshape(-1)
+        deltas = unpack_block_indices(
+            enc.arrays["data"], enc.arrays["block_starts"], blocks, out=out
+        ).reshape(tiles.size, d * BLOCK)
+        np.cumsum(deltas, axis=1, dtype=deltas.dtype, out=deltas)
+        deltas += enc.arrays["first_values"][tiles].astype(deltas.dtype)[:, None]
+        return deltas.reshape(-1)
 
     def tile_bounds(self, enc: EncodedColumn) -> tuple[np.ndarray, np.ndarray]:
         """Zero-decode bounds by bounding the tile's delta prefix sums.

@@ -37,6 +37,7 @@ from repro.formats.base import (
     ragged_arange,
     require_mask_buffer,
     require_out_buffer,
+    shifted_interval_mask,
     splice_block_stream,
     verify_mode,
 )
@@ -346,13 +347,15 @@ def unpack_block_indices(
         add_reference: when False, return the raw packed diffs (used by
             the cascading baseline, which adds references in a later
             kernel pass).
-        out: optional 1-D int64 scratch of at least ``blocks.size * 128``
-            elements; decoded values land in its prefix (the
-            allocation-free path behind ``decode_tiles_into``).
+        out: optional 1-D int32 or int64 scratch of at least
+            ``blocks.size * 128`` elements; decoded values land in its
+            prefix (the allocation-free path behind ``decode_tiles_into``).
+            In int32 the reference add wraps modulo ``2**32``, exact for
+            values that fit.
 
     Returns:
-        int64 array of ``blocks.size * 128`` values (a view into ``out``
-        when one is given).
+        ``blocks.size * 128`` values: a view into ``out`` when one is
+        given, else a fresh int64 array.
     """
     blocks = np.asarray(blocks, dtype=np.int64)
     n = blocks.size
@@ -367,7 +370,7 @@ def unpack_block_indices(
         decoded = out[: n * BLOCK].reshape(n, BLOCK)
     _unpack_diffs(data, bstarts, bits, decoded)
     if add_reference:
-        decoded += references[:, None]
+        decoded += references.astype(decoded.dtype)[:, None]
     return decoded.reshape(-1)
 
 
@@ -403,10 +406,10 @@ def unpack_block_indices_filtered(
 ) -> np.ndarray:
     """Fused decode+filter core for :func:`pack_blocks` streams.
 
-    Decodes ``blocks`` into ``out`` and writes the interval test
-    ``lo <= value <= hi`` into ``mask``, evaluating it in the *shifted*
-    domain (against ``lo - reference`` / ``hi - reference``) before the
-    frame-of-reference is added back.  Blocks whose header bounds
+    Decodes ``blocks`` into ``out`` (int32 or int64) and writes the
+    interval test ``lo <= value <= hi`` into ``mask``, evaluating it in
+    the *shifted* domain (:func:`~repro.formats.base.shifted_interval_mask`)
+    before the frame-of-reference is added back.  Blocks whose header bounds
     (``[reference, reference + 2**widest - 1]``) miss the interval are
     never unpacked — their values are zero-filled and their mask False.
     ``lo``/``hi`` must be pre-clamped (:func:`~repro.formats.base.clamp_interval`)
@@ -430,14 +433,10 @@ def unpack_block_indices_filtered(
     # A skipped block decodes as zero-width: zero diffs, payload untouched.
     _unpack_diffs(data, bstarts, bits * active[:, None], decoded)
 
-    # Compare against the shifted thresholds while the values are still
-    # reference-relative.  Skipped blocks hold zero diffs, and an inactive
-    # block's shifted interval cannot contain 0 (it misses [0, 2**w - 1]
-    # entirely), so their mask lands False without special-casing.
-    m2 = mask[: n * BLOCK].reshape(n, BLOCK)
-    np.greater_equal(decoded, (lo - references)[:, None], out=m2)
-    m2 &= decoded <= (hi - references)[:, None]
-    decoded += references[:, None]
+    shifted_interval_mask(
+        decoded, references, active, lo, hi, mask[: n * BLOCK].reshape(n, BLOCK)
+    )
+    decoded += references.astype(decoded.dtype)[:, None]
     return active
 
 

@@ -53,7 +53,7 @@ class KernelBackend:
         """Unpack directly into ``out[:count]`` (any integer dtype).
 
         The allocation-free sibling of :meth:`unpack`: block codecs
-        decode into wide (int64) scratch buffers, and writing them
+        decode into int32 or int64 scratch buffers, and writing them
         during extraction skips the intermediate uint32 array plus the
         widening copy that otherwise dominate at byte-aligned widths.
         """

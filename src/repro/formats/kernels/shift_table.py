@@ -106,8 +106,8 @@ def _unpack_phases(words: np.ndarray, count: int, bits: int, dest: np.ndarray) -
             strides=(bits, 1),
         )
         rows = dest[: 8 * groups].reshape(groups, 8)
-        if rows.dtype == np.int64:
-            rows = rows.view(np.uint64)  # same bits below 2**32, cheaper cast
+        if rows.dtype.kind == "i":  # same bits below 2**32, cheaper cast
+            rows = rows.view(np.dtype(f"u{rows.dtype.itemsize}"))
         step = _SLAB // 8
         for g in range(0, groups, step):
             win = matrix[g : g + step, plan.col]

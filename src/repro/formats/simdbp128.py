@@ -28,6 +28,7 @@ from repro.formats.base import (
     predicate_interval,
     require_mask_buffer,
     require_out_buffer,
+    shifted_interval_mask,
 )
 from repro.formats.gpufor import bit_length
 
@@ -138,7 +139,7 @@ class GpuSimdBp128(TileCodec):
         bits = data[bstarts + 1].astype(np.int64)
         decoded = out[: tiles.size * VBLOCK].reshape(tiles.size, VBLOCK)
         _unpack_by_width(data, bstarts, bits, np.arange(tiles.size), decoded)
-        decoded += references[:, None]
+        decoded += references.astype(decoded.dtype)[:, None]
         keep = np.minimum((tiles + 1) * VBLOCK, enc.count) - tiles * VBLOCK
         written = compact_tile_chunks_inplace(
             out, np.full(tiles.size, VBLOCK, dtype=np.int64), keep
@@ -184,13 +185,11 @@ class GpuSimdBp128(TileCodec):
         decoded = out[: tiles.size * VBLOCK].reshape(tiles.size, VBLOCK)
         decoded[np.flatnonzero(~active)] = 0
         _unpack_by_width(data, bstarts, bits, np.flatnonzero(active), decoded)
-        # Shifted-domain compare: skipped blocks hold zero diffs, and an
-        # inactive block's shifted interval cannot contain 0, so their
-        # mask lands False without special-casing.
-        m2 = mask[: tiles.size * VBLOCK].reshape(tiles.size, VBLOCK)
-        np.greater_equal(decoded, (lo - references)[:, None], out=m2)
-        m2 &= decoded <= (hi - references)[:, None]
-        decoded += references[:, None]
+        shifted_interval_mask(
+            decoded, references, active, lo, hi,
+            mask[: tiles.size * VBLOCK].reshape(tiles.size, VBLOCK),
+        )
+        decoded += references.astype(decoded.dtype)[:, None]
         chunk = np.full(tiles.size, VBLOCK, dtype=np.int64)
         keep = np.minimum((tiles + 1) * VBLOCK, enc.count) - tiles * VBLOCK
         written = compact_tile_chunks_inplace(out, chunk, keep)

@@ -461,7 +461,8 @@ class QueryCompiler:
             for jp, payload in zip(kept_joins, payloads):
                 if not jp.payload_attrs:
                     continue
-                packed = p.live(payload)
+                # Payloads are 4-byte ints: widen for group-code arithmetic.
+                packed = p.live(payload).astype(np.int64)
                 if not jp.filtered:  # a key without a dimension row groups as 0
                     packed = np.maximum(packed, 0)
                 if len(jp.payload_attrs) == 1:
@@ -474,16 +475,19 @@ class QueryCompiler:
                         attr_codes[attr.name] = (packed // div) % attr.domain
             for attr in group_attrs:
                 if attr.table == model_fact:
-                    attr_codes[attr.name] = p.live(load(attr.column)) - attr.base
+                    # Loads may decode into int32: widen group-code math.
+                    attr_codes[attr.name] = (
+                        p.live(load(attr.column)).astype(np.int64) - attr.base
+                    )
 
             def value_of(m: Measure) -> np.ndarray | None:
                 if m.how == "count":
                     return None
                 values = p.live(load(m.column))
                 if m.op == "sub":
-                    return values - p.live(load(m.other))
+                    return values.astype(np.int64) - p.live(load(m.other))
                 if m.op == "mul":
-                    return values * p.live(load(m.other))
+                    return values.astype(np.int64) * p.live(load(m.other))
                 return values
 
             if not group_attrs and len(measures) == 1:

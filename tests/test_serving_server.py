@@ -62,10 +62,13 @@ def expected(db, codec_store):
 
 
 def tight_budget(db, store):
-    """Room for the compressed store plus one decoded image: queries
-    cache up to 6 decoded columns (GPU-RFOR keys load as runs and cache
-    none), so eviction is guaranteed."""
-    return store.total_bytes + db.num_lineorder_rows * 8
+    """Room for the compressed columns the mix reads plus one decoded image
+    of 4-byte values (every column fits int32): the mix caches two images
+    (GPU-RFOR keys load as runs, sparse loads gather rows, and neither
+    caches one) and zone maps and per-tile traffic take some room too, so
+    eviction is guaranteed."""
+    columns = {c for name in QUERY_MIX for c in QUERIES[name].columns}
+    return sum(store[c].nbytes for c in columns) + db.num_lineorder_rows * 4
 
 
 class TestEvictionCorrectness:

@@ -41,7 +41,6 @@ from repro.engine.ssb_queries import QUERIES
 from repro.engine.streaming import (
     MIN_MORSEL_TILES,
     MORSEL_ALIGN_TILES,
-    MORSELS_PER_WORKER,
     TileStreamExecutor,
 )
 from repro.formats.base import DecodeArena, TileCodec
@@ -294,7 +293,10 @@ class TestStreamingBitIdentity:
         # full-grid (row_id), is one call.
         assert len(calls) == 4 and max(calls.values()) == 1, calls
         calls.clear()
-        engine = CrystalEngine(ssb_db, store, streaming=True, stream_workers=1)
+        # One worker derives one morsel; a pinned width cuts several.
+        engine = CrystalEngine(
+            ssb_db, store, streaming=True, stream_workers=1, morsel_tiles=64
+        )
         engine.run(query)
         morsels = engine.last_stream_stats["morsels"]
         assert morsels > 1
@@ -513,7 +515,12 @@ def _assert_partition(morsels, tile_active, span, workers, num_rows):
         seen.extend(np.flatnonzero(tile_active[m.tile_lo : m.tile_hi]) + m.tile_lo)
         prev_hi = m.tile_hi
     assert np.array_equal(np.asarray(seen, dtype=np.int64), live)
-    assert len(morsels) <= workers * MORSELS_PER_WORKER + 1
+    # One morsel per worker: each takes ceil(surviving / workers) tiles
+    # (at least the floor), so there are never more morsels than workers.
+    assert len(morsels) <= workers
+    take = max(MIN_MORSEL_TILES, -(-live.size // workers))
+    for m in morsels[:-1]:
+        assert np.count_nonzero(tile_active[m.tile_lo : m.tile_hi]) >= take, m
     if live.size:
         # Never narrower than the floor unless the surviving tiles are.
         widest = max(m.tile_hi - m.tile_lo for m in morsels)
@@ -570,8 +577,8 @@ class TestDerivedMorsels:
     def test_width_grows_with_the_surviving_tiles(self):
         executor = TileStreamExecutor(_GridOnly(3000), workers=2)
         morsels = executor._partition(np.ones(3000, dtype=bool))
-        assert len(morsels) == 2 * MORSELS_PER_WORKER
-        assert all(m.tile_hi - m.tile_lo > MIN_MORSEL_TILES for m in morsels)
+        assert len(morsels) == 2
+        assert [m.tile_hi - m.tile_lo for m in morsels] == [1504, 1496]
 
     @pytest.mark.parametrize(
         "data, qname",
