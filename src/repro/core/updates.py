@@ -22,8 +22,11 @@ result is byte-identical to choosing over the whole column.  A 600-row
 flush of a 590,000-row SSB column went from about 32 ms to about 12 ms
 (median flush of the ``update-flush`` benchmark on a 2-vCPU host).
 
-A flush is atomic: if encoding raises, the column's values, its pending
-overlay and its encoding are left as they were and the error propagates.
+A flush is atomic: it patches a copy of the values and commits it only
+once encoding succeeds, so if encoding raises, the column's values, its
+pending overlay and its encoding are left as they were and the error
+propagates.  The committed array is never written again, so a flush hook
+can publish it without a copy of its own.
 """
 
 from __future__ import annotations
@@ -142,18 +145,18 @@ class UpdatableColumn:
         applied = len(self._pending)
         idx = np.fromiter(self._pending.keys(), dtype=np.int64, count=applied)
         val = np.fromiter(self._pending.values(), dtype=np.int64, count=applied)
-        # The chooser reads the patched column.  Reads consult the overlay
-        # first, so patching in place shows them nothing new, and the old
-        # values go back if encoding fails: only success commits.
-        old = self.values[idx]
-        self.values[idx] = val
+        # The chooser reads a patched copy, which becomes the column's
+        # values only once encoding succeeds.  ``values`` is never written
+        # in place, so hooks may publish it without copying: an array a
+        # reader holds keeps its bytes through every later flush.
+        values = self.values
+        if applied:
+            values = values.copy()
+            values[idx] = val
         start = time.perf_counter()
-        try:
-            choice = choose_gpu_star(self.values, previous=self._choice, dirty_rows=idx)
-        except BaseException:
-            self.values[idx] = old
-            raise
+        choice = choose_gpu_star(values, previous=self._choice, dirty_rows=idx)
         encode_seconds = time.perf_counter() - start
+        self.values = values
         self._commit(choice)
         self._pending.clear()
 

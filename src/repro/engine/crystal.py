@@ -142,6 +142,52 @@ def _magnitude(values: np.ndarray) -> int:
     return max(int(values.max()), -int(values.min())) if values.size else 0
 
 
+def _total_of(a: np.ndarray, b: np.ndarray | None = None) -> dict[int, int]:
+    """:meth:`FactPipeline.total_sum` (or ``total_sum_product``) of
+    live-row values."""
+    a = a.astype(np.int64, copy=False)
+    return {0: exact_sum(a, None if b is None else b.astype(np.int64, copy=False))}
+
+
+def _group_sums_of(codes: np.ndarray, weights: np.ndarray, num_groups: int) -> dict[int, int]:
+    """:meth:`FactPipeline.group_sum` of live-row ``codes`` and ``weights``:
+    the nonzero sums by group code."""
+    if codes.size == 0:
+        return {}
+    codes = codes.astype(np.int64, copy=False)
+    if codes.min() < 0 or codes.max() >= num_groups:
+        raise ValueError("group codes out of range")
+    keys = None
+    if codes.size * 32 < num_groups:
+        # Few live rows over a large group domain (a morsel's rows
+        # against q4.3's 1.75M groups): sum over the codes present
+        # instead of a dense num_groups array.
+        keys, codes = np.unique(codes, return_inverse=True)
+    sums = group_sums(codes, weights, num_groups if keys is None else keys.size)
+    nz = np.flatnonzero(sums)
+    codes_out = nz if keys is None else keys[nz]
+    return {int(c): int(s) for c, s in zip(codes_out.tolist(), sums[nz].tolist())}
+
+
+def _group_extremes_of(
+    codes: np.ndarray, values: np.ndarray, num_groups: int, how: str
+) -> dict[int, int]:
+    """``min`` or ``max`` of live-row ``values`` by group code."""
+    if codes.size == 0:
+        return {}
+    codes = codes.astype(np.int64, copy=False)
+    if codes.min() < 0 or codes.max() >= num_groups:
+        raise ValueError("group codes out of range")
+    vals = values.astype(np.int64, copy=False)
+    sentinel = np.iinfo(np.int64).max if how == "min" else np.iinfo(np.int64).min
+    out = np.full(num_groups, sentinel, dtype=np.int64)
+    op = np.minimum if how == "min" else np.maximum
+    op.at(out, codes, vals)
+    touched = np.zeros(num_groups, dtype=bool)
+    touched[codes] = True
+    return {int(c): int(out[c]) for c in np.flatnonzero(touched)}
+
+
 def codec_tile_activity(
     tile_active: np.ndarray, elems: int, c0: int, c1: int, tile_lo: int = 0
 ) -> np.ndarray:
@@ -632,7 +678,8 @@ class CrystalEngine:
                 StoredColumn(
                     name=name,
                     system=old.system,
-                    values=ucol.values.copy(),
+                    # Flushes replace ``values``, never write it: no copy.
+                    values=ucol.values,
                     payload=ucol.encoded,
                     nbytes=ucol.encoded.nbytes,
                     codec_name=ucol.codec_name,
@@ -1262,44 +1309,14 @@ class FactPipeline:
         live rows (see :meth:`live`).  Sums are exact for any int64
         weights.
         """
-        self._check_open()
-        count = self.live_count
-        if self.staged:
-            self._staged_kernel(
-                f"aggregate-{self.name}",
-                read_bytes=self.n * 8 + self.n,
-                write_bytes=num_groups * 8,
-                ops=self.n * (OMNISCI_OP_OVERHEAD + 8),
-                scatters=(count, 8, num_groups * 8),
-            )
-        else:
-            self._compute += count * 8
-            self._gathers.append((min(count, num_groups * 4), 8, num_groups * 8))
-            self._write_bytes += num_groups * 8
-        live_codes = self.live(codes).astype(np.int64, copy=False)
-        weights = self.live(weights)
-        if count == 0:
-            return {}
-        if live_codes.min() < 0 or live_codes.max() >= num_groups:
-            raise ValueError("group codes out of range")
-        keys = None
-        if live_codes.size * 32 < num_groups:
-            # Few live rows over a large group domain (a morsel's rows
-            # against q4.3's 1.75M groups): sum over the codes present
-            # instead of a dense num_groups array.
-            keys, live_codes = np.unique(live_codes, return_inverse=True)
-        sums = group_sums(
-            live_codes, weights, num_groups if keys is None else keys.size
+        return self._aggregate(
+            "sum", num_groups, lambda c, w: _group_sums_of(c, w, num_groups), codes, weights
         )
-        nz = np.flatnonzero(sums)
-        codes_out = nz if keys is None else keys[nz]
-        return {int(c): int(s) for c, s in zip(codes_out.tolist(), sums[nz].tolist())}
 
     def total_sum(self, values: np.ndarray) -> dict[int, int]:
         """Ungrouped ``sum(values)`` over live rows (query flight 1), exact
         for any int64 values."""
-        self._account_aggregate(num_groups=1)
-        return {0: exact_sum(self.live(values).astype(np.int64, copy=False))}
+        return self._aggregate("sum", 1, _total_of, values)
 
     def total_sum_product(self, a: np.ndarray, b: np.ndarray) -> dict[int, int]:
         """Ungrouped ``sum(a*b)`` over live rows (the flight-1 aggregate).
@@ -1308,27 +1325,7 @@ class FactPipeline:
         so the host side multiplies only the selected rows instead of
         materializing a full product column.  Exact for any int64 inputs.
         """
-        self._account_aggregate(num_groups=1)
-        lhs = self.live(a).astype(np.int64, copy=False)
-        rhs = self.live(b).astype(np.int64, copy=False)
-        return {0: exact_sum(lhs, rhs)}
-
-    def _account_aggregate(self, num_groups: int) -> None:
-        """Traffic/compute bookkeeping shared by the sum aggregates."""
-        self._check_open()
-        count = self.live_count
-        if self.staged:
-            self._staged_kernel(
-                f"aggregate-{self.name}",
-                read_bytes=self.n * 8 + self.n,
-                write_bytes=num_groups * 8,
-                ops=self.n * (OMNISCI_OP_OVERHEAD + 8),
-                scatters=(count, 8, num_groups * 8),
-            )
-        else:
-            self._compute += count * 8
-            self._gathers.append((min(count, num_groups * 4), 8, num_groups * 8))
-            self._write_bytes += num_groups * 8
+        return self._aggregate("sum", 1, _total_of, a, b)
 
     def group_aggregate(
         self,
@@ -1361,33 +1358,46 @@ class FactPipeline:
             )
         if values is None:
             raise ValueError(f"{how} needs a values column")
+        return self._aggregate(
+            how, num_groups, lambda c, v: _group_extremes_of(c, v, num_groups, how), codes, values
+        )
 
-        count = self.live_count
+    def _aggregate(self, how: str, num_groups: int, compute, *columns) -> dict[int, int]:
+        """Account one aggregate call, then ``compute`` it on the columns
+        taken at the live rows.  ``how`` is the merge op of its partials:
+        ``"sum"``, ``"min"`` or ``"max"``."""
+        self._account_aggregate(num_groups, how)
+        return compute(*(self.live(c) for c in columns))
+
+    def _account_aggregate(
+        self, num_groups: int, how: str = "sum", counts: list[int] | None = None
+    ) -> None:
+        """Traffic/compute bookkeeping of one aggregate call.
+
+        ``counts`` splits the live rows into partials that each update
+        their own result array (one per cached span of a wide morsel):
+        each partial is priced as the morsel it stands for would price
+        it.  ``None`` is one partial of every live row.
+        """
+        self._check_open()
         if self.staged:
+            count = self.live_count
+            label = "aggregate" if how == "sum" else f"aggregate-{how}"
             self._staged_kernel(
-                f"aggregate-{how}-{self.name}",
+                f"{label}-{self.name}",
                 read_bytes=self.n * 8 + self.n,
                 write_bytes=num_groups * 8,
                 ops=self.n * (OMNISCI_OP_OVERHEAD + 8),
                 scatters=(count, 8, num_groups * 8),
             )
-        else:
-            self._compute += count * 8
-            self._gathers.append((min(count, num_groups * 4), 8, num_groups * 8))
-            self._write_bytes += num_groups * 8
-        if count == 0:
-            return {}
-        codes = self.live(codes).astype(np.int64, copy=False)
-        if codes.min() < 0 or codes.max() >= num_groups:
-            raise ValueError("group codes out of range")
-        vals = self.live(values).astype(np.int64, copy=False)
-        sentinel = np.iinfo(np.int64).max if how == "min" else np.iinfo(np.int64).min
-        out = np.full(num_groups, sentinel, dtype=np.int64)
-        op = np.minimum if how == "min" else np.maximum
-        op.at(out, codes, vals)
-        touched = np.zeros(num_groups, dtype=bool)
-        touched[codes] = True
-        return {int(c): int(out[c]) for c in np.flatnonzero(touched)}
+            return
+        if counts is None:
+            counts = [self.live_count]
+        self._compute += sum(counts) * 8
+        self._gathers.append(
+            (sum(min(c, num_groups * 4) for c in counts), 8, num_groups * 8)
+        )
+        self._write_bytes += num_groups * 8 * len(counts)
 
     # -- pricing ---------------------------------------------------------------
 

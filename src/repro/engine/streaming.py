@@ -32,7 +32,9 @@ it every plan except the staged OmniSci baseline.
      rows are live, just those rows read.
 
    A streaming engine sizes morsels from the surviving tiles (or cuts a
-   pinned ``morsel_tiles``) and decodes into a per-worker
+   pinned ``morsel_tiles``; a semantic-cache miss groups its fresh cache
+   spans the same way, see :meth:`TileStreamExecutor.run_partials`) and
+   decodes into a per-worker
    :class:`~repro.formats.base.DecodeArena`, one buffer per dense load
    of the query.  A non-streaming engine runs one morsel spanning its
    whole tile span and loads into fresh arrays; a column it decoded
@@ -148,6 +150,19 @@ MIN_MORSEL_TILES = 64
 MORSEL_ALIGN_TILES = 8
 
 
+def _merge_into(merged: dict[int, int], op: str, result: dict[int, int]) -> None:
+    """Fold one partial ``result`` into ``merged`` by merge ``op``
+    (``"sum"``, ``"min"`` or ``"max"``) with exact Python ints."""
+    for code, val in result.items():
+        code, val = int(code), int(val)
+        if op == "sum":
+            merged[code] = merged.get(code, 0) + val
+        elif op == "min":
+            merged[code] = min(merged.get(code, val), val)
+        else:  # max
+            merged[code] = max(merged.get(code, val), val)
+
+
 def _fresh_buffer(key: str, elements: int, dtype=np.int64) -> np.ndarray:
     """:meth:`DecodeArena.scratch` for loads that keep no arena."""
     return np.empty(elements, dtype=dtype)
@@ -162,6 +177,11 @@ class Morsel:
     tile_hi: int
     row_lo: int
     row_hi: int
+    #: The partial spans a wide morsel keeps one result each for, as
+    #: ``(tile_lo, tile_hi)`` in order (:meth:`TileStreamExecutor.run_partials`);
+    #: tiles outside them are masked inactive.  Empty: the morsel is
+    #: itself one partial.
+    spans: tuple[tuple[int, int], ...] = ()
 
 
 class _PlanPipeline(FactPipeline):
@@ -278,6 +298,17 @@ class _MorselPipeline(FactPipeline):
         self._executor = executor
         self._morsel = morsel
         self.tile_active &= executor.tile_active[morsel.tile_lo : morsel.tile_hi]
+        #: Morsel-relative ``(tile_lo, tile_hi)`` of each partial span.
+        self._spans = [(lo - morsel.tile_lo, hi - morsel.tile_lo) for lo, hi in morsel.spans]
+        if self._spans:
+            inside = np.zeros_like(self.tile_active)
+            for lo, hi in self._spans:
+                inside[lo:hi] = True
+            self.tile_active &= inside
+        #: Surviving tiles of each partial span.
+        self.span_tiles = [int(self.tile_active[lo:hi].sum()) for lo, hi in self._spans]
+        #: Per aggregate call, its whole result and one result per span.
+        self._calls: list[tuple[dict[int, int], list[dict[int, int]]]] = []
         if not self.tile_active.all():
             # Loads leave pruned tiles' rows unspecified, so those rows
             # start dead: sound, as no row of theirs can match.
@@ -304,25 +335,49 @@ class _MorselPipeline(FactPipeline):
     def _column_rows(self, name, col):
         return self._executor.gather_slice(name, self._morsel, self.rows, col)
 
-    # -- aggregate-op recording (drives the deterministic merge) ----------
+    # -- aggregates: op recording (drives the deterministic merge) -------
 
-    def group_sum(self, codes, weights, num_groups):
-        self.agg_ops.append("sum")
-        return super().group_sum(codes, weights, num_groups)
+    def _aggregate(self, how, num_groups, compute, *columns):
+        self.agg_ops.append(how)
+        if not self._spans:
+            return super()._aggregate(how, num_groups, compute, *columns)
+        # A wide morsel computes each span's partial on its slice of the
+        # live rows (sorted, so each span's is contiguous), exactly as a
+        # morsel of that one span would, and prices it the same way.
+        cols = [self.live(c) for c in columns]
+        edges = np.array([(lo * TILE, min(hi * TILE, self.n)) for lo, hi in self._spans])
+        if self._rows is not None:
+            edges = np.searchsorted(self._rows, edges)
+        self._account_aggregate(num_groups, how, [int(b - a) for a, b in edges])
+        parts = [compute(*(c[a:b] for c in cols)) for a, b in edges.tolist()]
+        whole: dict[int, int] = {}
+        for part in parts:
+            _merge_into(whole, how, part)
+        self._calls.append((whole, parts))
+        return whole
 
-    def total_sum(self, values):
-        self.agg_ops.append("sum")
-        return super().total_sum(values)
+    def span_results(self, result: dict[int, int]) -> list[dict[int, int]]:
+        """One result per partial span, given the query's ``result``.
 
-    def total_sum_product(self, a, b):
-        self.agg_ops.append("sum")
-        return super().total_sum_product(a, b)
-
-    def group_aggregate(self, codes, values, num_groups, how="sum"):
-        if how in ("min", "max"):
-            self.agg_ops.append(how)
-        # sum/count delegate to group_sum, which records itself.
-        return super().group_aggregate(codes, values, num_groups, how=how)
+        A span's result is what a morsel of just that span returns: the
+        union of its aggregate calls' span results in call order.  That
+        holds only if the query returned the union of its calls' results;
+        anything else (a result it derived further) cannot be split by
+        span, so it raises rather than cache a guess.
+        """
+        union: dict[int, int] = {}
+        for whole, _ in self._calls:
+            union.update(whole)
+        if result != union:
+            raise RuntimeError(
+                f"query {self.name} returned something other than its "
+                f"aggregate results; its partials cannot be split by span"
+            )
+        out: list[dict[int, int]] = [{} for _ in self._spans]
+        for _, parts in self._calls:
+            for span_result, part in zip(out, parts):
+                span_result.update(part)
+        return out
 
 
 @contextlib.contextmanager
@@ -352,6 +407,17 @@ class _MorselOutcome:
     result: dict[int, int]
     pipeline: _MorselPipeline
     wall_ms: float
+
+    def per_span(self) -> list["_MorselOutcome"]:
+        """One outcome per partial span of a wide morsel, in span order:
+        the span's own result and a share of ``wall_ms`` by its surviving
+        tiles (the span's reconstruction cost in the semantic cache)."""
+        pipe = self.pipeline
+        total = sum(pipe.span_tiles)
+        return [
+            _MorselOutcome(result, pipe, self.wall_ms * tiles / total)
+            for result, tiles in zip(pipe.span_results(self.result), pipe.span_tiles)
+        ]
 
 
 class _PlanEngine:
@@ -702,10 +768,13 @@ class TileStreamExecutor:
         With a width (``morsel_tiles``, else the executor's pinned one)
         the grid is fixed from the span start and fully-pruned windows are
         skipped wholesale (the streaming counterpart of tile skipping).
-        Otherwise there is one morsel per worker: each takes
-        ``ceil(surviving / workers)`` of the surviving tiles, at least
-        :data:`MIN_MORSEL_TILES` of them (the last takes what is left),
-        and ends after its last one on the next multiple of
+        The semantic cache plans on such a grid, but only to key its
+        partials: it runs a miss's fresh grid windows through
+        :meth:`run_partials`, which groups them by the rule below
+        (:meth:`_cover`).  Otherwise there is one morsel per worker: each
+        takes ``ceil(surviving / workers)`` of the surviving tiles, at
+        least :data:`MIN_MORSEL_TILES` of them (the last takes what is
+        left), and ends after its last one on the next multiple of
         :data:`MORSEL_ALIGN_TILES`.
         """
         span_lo, span_hi = self.engine.tile_span
@@ -726,7 +795,32 @@ class TileStreamExecutor:
             i = int(np.searchsorted(live, hi))
         return self._morsels(spans)
 
-    def _morsels(self, spans: list[tuple[int, int]]) -> list[Morsel]:
+    def _cover(self, tile_active: np.ndarray, spans: list[Morsel]) -> list[Morsel]:
+        """Cut partial ``spans`` (in tile order) into wide morsels.
+
+        :meth:`_partition`'s rule, on span boundaries: each morsel takes
+        whole spans until it holds ``ceil(surviving / workers)`` of their
+        surviving tiles, at least :data:`MIN_MORSEL_TILES`, so there are
+        at most ``workers`` of them.  A morsel's tile range runs from its
+        first span to its last; the spans it skips are masked inactive.
+        """
+        tiles = [int(np.count_nonzero(tile_active[m.tile_lo : m.tile_hi])) for m in spans]
+        take = max(MIN_MORSEL_TILES, -(-sum(tiles) // self.workers))
+        groups: list[list[tuple[int, int]]] = []
+        held = take
+        for m, count in zip(spans, tiles):
+            if held >= take:
+                groups.append([])
+                held = 0
+            groups[-1].append((m.tile_lo, m.tile_hi))
+            held += count
+        return self._morsels([(g[0][0], g[-1][1]) for g in groups], [tuple(g) for g in groups])
+
+    def _morsels(
+        self,
+        ranges: list[tuple[int, int]],
+        spans: list[tuple[tuple[int, int], ...]] | None = None,
+    ) -> list[Morsel]:
         num_rows = self.engine.num_rows
         return [
             Morsel(
@@ -735,8 +829,9 @@ class TileStreamExecutor:
                 tile_hi=hi,
                 row_lo=lo * TILE,
                 row_hi=min(hi * TILE, num_rows),
+                spans=spans[i] if spans is not None else (),
             )
-            for i, (lo, hi) in enumerate(spans)
+            for i, (lo, hi) in enumerate(ranges)
         ]
 
     def _run_morsel(
@@ -751,6 +846,25 @@ class TileStreamExecutor:
             )
         wall_ms = (time.perf_counter() - t0) * 1e3
         return _MorselOutcome(result, mengine.pipeline_obj, wall_ms)
+
+    def run_partials(
+        self, plan: StreamPlan, spans: list[Morsel]
+    ) -> tuple[list[_MorselOutcome], list[_MorselOutcome]]:
+        """Compute one partial per span: some of ``plan.morsels``, in order.
+
+        Returns ``(morsels, partials)``: the outcomes of the morsels that
+        ran (for pricing and stats) and one outcome per span, aligned
+        with ``spans``.  With a pinned ``morsel_tiles`` every span runs
+        as its own morsel.  Otherwise the spans run as at most
+        ``workers`` wide morsels (:meth:`_cover`), each of which records
+        every aggregate call per span; pricing then adds up to what
+        one-span morsels record, so the fused kernel prices the same.
+        """
+        if self.morsel_tiles is not None:
+            outcomes = self.run_morsels(plan, spans)
+            return outcomes, outcomes
+        outcomes = self.run_morsels(plan, self._cover(plan.tile_active, spans))
+        return outcomes, [part for o in outcomes for part in o.per_span()]
 
     def plan(self, query: SSBQuery, morsel_tiles: int | None = None) -> StreamPlan:
         """Run the zero-row plan pass and derive the semantic identity.
@@ -870,7 +984,13 @@ class TileStreamExecutor:
         self.last_stats = {
             "query": plan.query.name,
             "workers": self.workers,
-            "morsel_tiles": max((m.tile_hi - m.tile_lo for m in plan.morsels), default=0),
+            # The widest morsel run and the widest partial merged: the
+            # same width unless the semantic cache ran wide morsels.
+            "morsel_tiles": max(
+                (o.pipeline._morsel.tile_hi - o.pipeline._morsel.tile_lo for o in outcomes),
+                default=0,
+            ),
+            "partial_tiles": max((m.tile_hi - m.tile_lo for m in plan.morsels), default=0),
             "tiles_total": int(engine.num_tiles),
             "tiles_span": int(span_hi - span_lo),
             "tiles_active": int(np.count_nonzero(plan.tile_active)),
@@ -946,14 +1066,7 @@ class TileStreamExecutor:
         op = ops.pop()
         merged = {int(k): int(v) for k, v in plan_result.items()}
         for _, result in parts:
-            for code, val in result.items():
-                code, val = int(code), int(val)
-                if op == "sum":
-                    merged[code] = merged.get(code, 0) + val
-                elif op == "min":
-                    merged[code] = min(merged.get(code, val), val)
-                else:  # max
-                    merged[code] = max(merged.get(code, val), val)
+            _merge_into(merged, op, result)
         return merged
 
     def _price_fused_kernel(

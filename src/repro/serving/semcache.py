@@ -32,16 +32,22 @@ drill-down to a month reuses the year-level partials for every tile the
 month provably owns outright or provably misses, and a cross-dimension
 filter reuses tiles where the extra conjunct is vacuous.
 
-Only the *uncovered* morsels execute; cached and fresh partials merge
-bit-identically through :meth:`TileStreamExecutor.merge_parts` (exact
-Python ints, deterministic morsel order), so a warm answer is the same
-object a cold run produces.
+Spans are the cache key, not the unit of execution.  Only the
+*uncovered* spans are computed, by at most one morsel per worker
+(:meth:`TileStreamExecutor.run_partials`): each morsel runs over a
+contiguous group of fresh spans, masks the covered spans inside its
+range inactive, and records every aggregate call once per span, so it
+yields the very partials one morsel per span would.  Cached and fresh
+partials merge bit-identically through
+:meth:`TileStreamExecutor.merge_parts` (exact Python ints, deterministic
+span order), so a warm answer is the same object a cold run produces.
 
 Partials live as ``partial``-kind residents of a private
 :class:`~repro.serving.pool.ColumnPool`, reusing its cost-aware
 greedy-dual eviction under a byte budget: a partial's reconstruction
-cost is the wall time of the morsel that computed it, so cheap-to-redo
-and long-unused partials evict first.
+cost is its share of the wall time of the morsel that computed it (split
+by surviving tiles), so cheap-to-redo and long-unused partials evict
+first.
 
 Staleness is impossible by construction: every partial carries the
 per-column **epoch** tuple of the columns its value depends on, epochs
@@ -81,7 +87,10 @@ DEFAULT_SEMCACHE_BUDGET = 16 * 1024 * 1024
 #: ``morsel_tiles``.  Spans are the cache key, so the grid must not move
 #: with a query's surviving tiles the way the executor's own morsels do:
 #: a fixed grid lets a drill-down find its year-level donor's spans.  On
-#: SF 0.1 ``lo_orderdate``-sorted data 64 tiles hold about 130 days.
+#: SF 0.1 ``lo_orderdate``-sorted data 64 tiles hold about 130 days.  The
+#: grid does not size execution: a miss runs its fresh spans as one
+#: morsel per worker.  A pinned ``morsel_tiles`` pins both, one morsel
+#: per span.
 PARTIAL_GRID_TILES = 64
 
 #: How many most-recent same-base entries a probe considers as donors.
@@ -99,10 +108,10 @@ def _digest(obj: object) -> str:
 
 @dataclass(frozen=True)
 class CachedPartial:
-    """One morsel span's partial aggregate, frozen for reuse.
+    """One span's partial aggregate, frozen for reuse.
 
-    ``agg_ops`` and ``result`` are exactly what the morsel pipeline
-    produced (see ``TileStreamExecutor.merge_parts``); ``epochs`` pins
+    ``agg_ops`` and ``result`` are exactly what a morsel of that one span
+    produces (see ``TileStreamExecutor.merge_parts``); ``epochs`` pins
     the per-column versions the value was computed against, aligned with
     the owning entry's sorted column tuple.
     """
@@ -417,7 +426,7 @@ class SemanticResultCache:
 
         Drop-in replacement for ``executor.execute(query)``: the answer
         is bit-identical (cached partials merge through the same exact
-        integer path, in the same morsel order), only the work differs.
+        integer path, in the same span order), only the work differs.
         """
         # A pinned executor width pins the partial grid too.
         grid = executor.morsel_tiles or PARTIAL_GRID_TILES
@@ -433,7 +442,7 @@ class SemanticResultCache:
                 m for m in plan.morsels if (m.tile_lo, m.tile_hi) not in covered
             ]
             t0 = time.perf_counter()
-            outcomes = executor.run_morsels(plan, fresh)
+            outcomes, partials = executor.run_partials(plan, fresh)
             exec_ms = (time.perf_counter() - t0) * 1e3
             if self._epoch_snapshot(columns) != snapshot:
                 # A flush raced us: cached partials and fresh outcomes may
@@ -442,7 +451,7 @@ class SemanticResultCache:
                 plan = executor.plan(query, morsel_tiles=grid)
                 continue
             by_span = {
-                (m.tile_lo, m.tile_hi): o for m, o in zip(fresh, outcomes)
+                (m.tile_lo, m.tile_hi): o for m, o in zip(fresh, partials)
             }
             parts: list[tuple[list[str], dict[int, int]]] = []
             for m in plan.morsels:
@@ -464,7 +473,7 @@ class SemanticResultCache:
             self._record_coverage(covered, fresh, plan)
             if fresh:
                 entry = self._ensure_entry(sig, base_hash, plan)
-                self._install(entry, self._freeze(fresh, outcomes, snapshot))
+                self._install(entry, self._freeze(fresh, partials, snapshot))
             if covered:
                 # Promote donated spans under this signature so the next
                 # identical query hits them without a donor scan.
@@ -507,6 +516,8 @@ class SemanticResultCache:
         ]
 
     def _record_coverage(self, covered, fresh, plan) -> None:
+        # The *_morsels counters count partial spans, not the morsels run
+        # (those are ``streaming_morsels``).
         total = len(plan.morsels)
         self.metrics.inc("semcache_queries")
         self.metrics.inc("semcache_covered_morsels", len(covered))

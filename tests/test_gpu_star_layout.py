@@ -416,6 +416,27 @@ class TestFlush:
         assert_same_encoding(column.encoded, oracle(expect)[1])
         assert np.array_equal(column.snapshot(), expect)
 
+    def test_raising_encode_leaves_the_column_unchanged(self, rng, monkeypatch):
+        column = UpdatableColumn(rng.integers(0, 1000, 3000))
+        values, encoded, codec_name = column.values, column.encoded, column.codec_name
+        before = values.copy()
+        flushed = []
+        column.add_invalidation_hook(flushed.append)
+        column.update_many(np.arange(0, 3000, 7), np.arange(0, 3000, 7) + 5000)
+        pending = dict(column._pending)
+
+        def failing(*args, **kwargs):
+            raise MemoryError("encode failed")
+
+        monkeypatch.setattr("repro.core.updates.choose_gpu_star", failing)
+        with pytest.raises(MemoryError, match="encode failed"):
+            column.flush(GPUDevice())
+        assert column.values is values
+        np.testing.assert_array_equal(column.values, before)
+        assert column._pending == pending
+        assert column.encoded is encoded and column.codec_name == codec_name
+        assert flushed == []
+
     def test_empty_flush_does_no_encoding_work(self, rng, monkeypatch):
         column = UpdatableColumn(rng.integers(0, 1000, 3000))
         encoded = column.encoded

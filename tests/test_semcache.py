@@ -15,13 +15,19 @@ import numpy as np
 import pytest
 
 from repro.core.updates import UpdatableColumn
-from repro.engine.crystal import CrystalEngine
+from repro.engine.crystal import CrystalEngine, SSBQuery
 from repro.engine.predicates import And, Equals, Range
 from repro.engine.ssb_queries import QUERIES, make_flight1, make_scan
+from repro.engine.streaming import TileStreamExecutor
+from repro.formats.base import set_checksums
 from repro.formats.registry import get_codec
 from repro.gpusim import GPUDevice
+from repro.query.compiler import QueryCompiler
+from repro.query.model import Query
+from repro.query.ssb import ssb_model
 from repro.serving.scheduler import QueryServer
 from repro.serving.semcache import PARTIAL_GRID_TILES, SemanticResultCache
+from repro.serving.sharding import ShardRouter
 from repro.ssb.dbgen import generate, sort_lineorder_by
 from repro.ssb.loader import ColumnStore, StoredColumn, load_lineorder
 
@@ -185,13 +191,18 @@ class TestExactReuse:
 class TestPartialGrid:
     def test_derived_morsels_keep_the_fixed_partial_grid(self, sorted_db, sorted_store):
         # Spans are the cache key: whatever width the executor derives
-        # for its own morsels, cached partials sit on one fixed grid.
+        # for its own morsels, cached partials sit on one fixed grid,
+        # while a fully fresh query runs at most one morsel per worker.
         grids = {}
         for workers in (1, 2, 8):
             engine = _cached_engine(sorted_db, sorted_store, workers=workers)
             engine.run(make_scan("scan-year", YEAR))
             engine.run(QUERIES["q2.1"])  # no date filter: every grid window
-            assert engine.last_stream_stats["morsel_tiles"] == PARTIAL_GRID_TILES
+            stats = engine.last_stream_stats
+            assert stats["partial_tiles"] == PARTIAL_GRID_TILES
+            assert 1 <= len(stats["morsel_ms"]) <= workers
+            assert stats["morsels"] == -(-engine.num_tiles // PARTIAL_GRID_TILES)
+            assert stats["morsel_tiles"] >= stats["partial_tiles"]
             spans = sorted(
                 {span for entry in engine.semcache._entries.values() for span in entry.spans}
             )
@@ -443,3 +454,230 @@ class TestServerIntegration:
         server = QueryServer(sorted_db, sorted_store, streaming=True)
         assert server.semcache is None
         assert server.engine.semcache is None
+
+
+# ---------------------------------------------------------------------------
+# Wide misses: one morsel per worker, one cached partial per 64-tile span
+# ---------------------------------------------------------------------------
+
+#: Dashboard-style panels: date windows x discount/quantity bands, two
+#: measures each (two aggregate calls whose results the plan unions).
+PANEL_WINDOWS = (
+    Equals("d_year", 1993),
+    Range("d_yearmonthnum", 199301, 199306),
+    Range("d_yearmonthnum", 199304, 199306),
+    Equals("d_year", 1995),
+)
+PANEL_BANDS = (
+    (Range("lo_discount", 1, 3), Range("lo_quantity", 1, 24)),
+    (Range("lo_discount", 4, 6), Range("lo_quantity", 26, 35)),
+)
+
+
+@pytest.fixture(scope="module")
+def wide_db():
+    """Date-sorted SF 0.05: 586 engine tiles, ten 64-tile cache spans."""
+    return sort_lineorder_by(generate(scale_factor=0.05, seed=7), "lo_orderdate")
+
+
+@pytest.fixture(scope="module", params=(False, True), ids=("plain", "checksummed"))
+def wide_store(request, wide_db):
+    previous = set_checksums(request.param)
+    try:
+        yield load_lineorder(wide_db, "gpu-star")
+    finally:
+        set_checksums(previous)
+
+
+def _wide_queries(db, store) -> list:
+    """The 13 flights, then the panels (each twice: the repeat hits)."""
+    compiler = QueryCompiler(ssb_model(), db, store)
+    panels = [
+        compiler.compile(
+            Query(f"panel-{i}-{j}", measures=("revenue_disc", "revenue"),
+                  filters=(window,) + band)
+        )
+        for i, window in enumerate(PANEL_WINDOWS)
+        for j, band in enumerate(PANEL_BANDS)
+    ]
+    return list(QUERIES.values()) + panels + panels
+
+
+def _partials(engine) -> dict:
+    """Every resident partial: ``{(signature, span): (agg_ops, result)}``."""
+    cache = engine.semcache
+    out = {}
+    for entry in list(cache._entries.values()):
+        for span in sorted(entry.spans):
+            resident = cache.pool.get(cache._span_key(entry.sig, span))
+            if resident is not None:
+                partial = resident.payload
+                out[(entry.sig, span)] = (partial.agg_ops, partial.result)
+    return out
+
+
+def _drop_every_other_span(engine) -> None:
+    """Evict alternate cached spans, so a repeat's fresh spans interleave
+    with covered ones."""
+    cache = engine.semcache
+    for entry in cache._entries.values():
+        for span in sorted(entry.spans)[1::2]:
+            entry.spans.discard(span)
+            cache.pool.invalidate(cache._span_key(entry.sig, span))
+
+
+def _ledger(pipelines) -> tuple:
+    """The morsel accounting a fused kernel is priced from, summed."""
+    calls = max((len(p._gathers) for p in pipelines), default=0)
+    return (
+        sum(p._read_bytes for p in pipelines),
+        sum(p._write_bytes for p in pipelines),
+        sum(p._compute for p in pipelines),
+        sum(p._shared for p in pipelines),
+        sum(p.live_count for p in pipelines),
+        [sum(p._gathers[i][0] for p in pipelines) for i in range(calls)],
+    )
+
+
+def _last_ledger(engine):
+    """The ledger of the engine's last priced query (``None`` before any)."""
+    return getattr(engine._stream_executor, "ledger", None)
+
+
+class TestWideMisses:
+    """A derived-width engine against one pinned to the partial grid.
+
+    The pinned engine runs one morsel per span; the derived one runs at
+    most ``workers`` wide morsels.  Both
+    must cache the very same partials, merge the same answers, and sum
+    the same accounting into the same priced device time.
+    """
+
+    @pytest.fixture(autouse=True)
+    def ledgers(self, monkeypatch):
+        price = TileStreamExecutor._price_fused_kernel
+
+        def spy(executor, query, ppipe, pipelines):
+            executor.ledger = _ledger(pipelines)
+            return price(executor, query, ppipe, pipelines)
+
+        monkeypatch.setattr(TileStreamExecutor, "_price_fused_kernel", spy)
+
+    def _pair(self, db, store, workers):
+        wide = _cached_engine(db, store, workers=workers)
+        pinned = _cached_engine(db, store, workers=workers, morsel_tiles=PARTIAL_GRID_TILES)
+        return wide, pinned
+
+    def _same(self, wide, pinned, q, label):
+        a, b = wide.run(q), pinned.run(q)
+        assert a.groups == b.groups, label
+        assert a.simulated_ms == b.simulated_ms, label
+        assert _last_ledger(wide) == _last_ledger(pinned), label
+        assert _partials(wide) == _partials(pinned), label
+        stats = wide.last_stream_stats
+        assert stats["partial_tiles"] == PARTIAL_GRID_TILES
+        assert len(stats["morsel_ms"]) <= wide.stream_workers, label
+        return stats
+
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    def test_flights_and_panels_match_the_pinned_grid(self, wide_db, wide_store, workers):
+        wide, pinned = self._pair(wide_db, wide_store, workers)
+        for q in _wide_queries(wide_db, wide_store):
+            self._same(wide, pinned, q, (workers, q.name))
+        assert _partials(wide)
+        assert wide.semcache.stats()["semcache_hits"] >= 1
+        counters = ("semcache_covered_morsels", "semcache_fresh_morsels")
+        wide_stats, pinned_stats = wide.semcache.stats(), pinned.semcache.stats()
+        assert [wide_stats[c] for c in counters] == [pinned_stats[c] for c in counters]
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_fresh_spans_between_covered_ones(self, wide_db, wide_store, workers):
+        wide, pinned = self._pair(wide_db, wide_store, workers)
+        for q in (QUERIES["q2.1"], QUERIES["q4.1"]):
+            self._same(wide, pinned, q, q.name)
+            _drop_every_other_span(wide)
+            _drop_every_other_span(pinned)
+            stats = self._same(wide, pinned, q, q.name)
+            assert 0 < stats["cached_morsels"] < stats["morsels"]
+            if workers == 1:
+                # One morsel runs across the covered spans between the
+                # fresh ones, masking them rather than recomputing them.
+                assert len(stats["morsel_ms"]) == 1
+                assert stats["morsel_tiles"] > 2 * PARTIAL_GRID_TILES
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_donor_transfer(self, wide_db, wide_store, workers):
+        wide, pinned = self._pair(wide_db, wide_store, workers)
+        years = And((
+            Range("lo_orderdate", 19930101, 19961231),
+            Range("lo_discount", 1, 3),
+            Range("lo_quantity", 0, 24),
+        ))
+        every = And((
+            Range("lo_orderdate", 19920101, 19981231),
+            Range("lo_discount", 1, 3),
+            Range("lo_quantity", 0, 24),
+        ))
+        self._same(wide, pinned, make_scan("scan-years", years), "years")
+        stats = self._same(wide, pinned, make_scan("scan-every", every), "every")
+        assert wide.semcache.stats()["semcache_donated_partials"] >= 1
+        assert 0 < stats["cached_morsels"] < stats["morsels"]
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_two_shard_router(self, wide_db, wide_store, workers):
+        routers = [
+            ShardRouter(wide_db, wide_store, 2, stream_workers=workers,
+                        morsel_tiles=tiles, semantic_cache=True)
+            for tiles in (None, PARTIAL_GRID_TILES)
+        ]
+        try:
+            for q in _wide_queries(wide_db, wide_store)[:13]:
+                (wide_groups, wide_ms), (pinned_groups, pinned_ms) = (
+                    router.execute(q) for router in routers
+                )
+                assert wide_groups == pinned_groups, q.name
+                assert wide_ms == pinned_ms, q.name
+                for wide_shard, pinned_shard in zip(*(r.shards for r in routers)):
+                    wide_engine, pinned_engine = wide_shard.engine, pinned_shard.engine
+                    assert _last_ledger(wide_engine) == _last_ledger(pinned_engine), q.name
+                    assert _partials(wide_engine) == _partials(pinned_engine), q.name
+        finally:
+            for router in routers:
+                router.close()
+
+    def test_span_costs_split_the_morsel_wall_time(self, wide_db, wide_store, monkeypatch):
+        seen = []
+        run_partials = TileStreamExecutor.run_partials
+
+        def spy(executor, plan, spans):
+            seen.append(run_partials(executor, plan, spans))
+            return seen[-1]
+
+        monkeypatch.setattr(TileStreamExecutor, "run_partials", spy)
+        engine = _cached_engine(wide_db, wide_store, workers=2)
+        engine.run(QUERIES["q2.1"])
+        ((outcomes, partials),) = seen
+        assert len(outcomes) == 2 and len(partials) == 10
+        for o in outcomes:
+            mine = [p.wall_ms for p in partials if p.pipeline is o.pipeline]
+            assert len(mine) == len(o.pipeline.span_tiles) > 1
+            assert sum(mine) == pytest.approx(o.wall_ms)
+        # Each cached partial keeps its own share as its eviction cost.
+        costs = sorted(
+            r.reconstruct_cost_ms
+            for r in engine.semcache.pool._residents.values()
+        )
+        assert costs == pytest.approx(sorted(p.wall_ms for p in partials))
+
+    def test_a_derived_result_cannot_be_split(self, wide_db, wide_store):
+        def halved(eng):
+            p = eng.pipeline("halved")
+            result = p.total_sum(p.load("lo_revenue"))
+            p.finish()
+            return {0: result[0] // 2}
+
+        q = SSBQuery("halved", ("lo_revenue",), halved)
+        pinned = _cached_engine(wide_db, wide_store, morsel_tiles=PARTIAL_GRID_TILES)
+        pinned.run(q)  # one morsel per span: nothing to split
+        with pytest.raises(RuntimeError, match="cannot be split by span"):
+            _cached_engine(wide_db, wide_store).run(q)

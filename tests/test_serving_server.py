@@ -290,6 +290,25 @@ class TestFlushInvalidation:
         engine = CrystalEngine(db, store, GPUDevice(), pool=pool)
         self._roundtrip(db, store, engine)
 
+    def test_published_column_keeps_its_values_after_the_next_flush(self, db):
+        store = load_lineorder(db, "gpu-star")
+        engine = CrystalEngine(db, store, GPUDevice())
+        updatable = UpdatableColumn(store["lo_quantity"].values)
+        engine.bind_updatable("lo_quantity", updatable)
+        device = GPUDevice()
+        updatable.update(3, 41)
+        updatable.flush(device)
+        published = store["lo_quantity"]
+        # The flush publishes the column's own array, not a copy of it.
+        assert published.values is updatable.values
+        snapshot = published.values.copy()
+        updatable.update_many(np.arange(10), np.full(10, 50))
+        updatable.flush(device)
+        np.testing.assert_array_equal(published.values, snapshot)
+        assert int(published.values[3]) == 41
+        assert store["lo_quantity"] is not published
+        assert int(store["lo_quantity"].values[3]) == 50
+
     def test_flush_hook_fires_without_pending_updates(self, db):
         store = load_lineorder(db, "gpu-star")
         updatable = UpdatableColumn(store["lo_discount"].values)
