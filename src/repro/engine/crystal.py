@@ -21,13 +21,13 @@ Every fused query is driven by one executor,
 :class:`~repro.engine.streaming.TileStreamExecutor`: a plan pass, then
 morsels over the surviving tiles of the engine's ``tile_span`` (the
 whole grid unless the engine serves one tile-range shard), then one
-priced fact kernel.  Without ``streaming`` the executor runs a single
-morsel spanning the whole span on the coordinator thread.  Every
-morsel's column load takes the executor's one load route: a whole-column
-image if the engine holds one (:meth:`CrystalEngine.decoded_image`), else
-a batched decode of the live tiles (``decode_slice``) or, once few rows
-are live, a row read (``gather_slice``).  Only staged plans call the
-query function against the engine itself.
+priced fact kernel.  Without ``streaming`` one worker, the
+coordinator thread, runs them.  Every morsel's column load takes the
+executor's one load route: a whole-column image if the engine holds one
+(:meth:`CrystalEngine.decoded_image`), else a batched decode of the live
+tiles (``decode_slice``) or, once few rows are live, a row read
+(``gather_slice``).  Only staged plans call the query function against
+the engine itself.
 """
 
 from __future__ import annotations
@@ -303,18 +303,18 @@ class CrystalEngine:
         #: Whether a query's pushdown may skip tiles from codec bounds;
         #: off, queries run the unpruned plan.
         self.pushdown = pushdown
-        #: How :meth:`run` cuts a fused query into morsels.  On, morsels
-        #: sized from the surviving tiles run on ``stream_workers``
-        #: threads and decode column chunks into per-worker arenas.  Off,
-        #: one morsel spans the whole tile span on the coordinator thread
-        #: and decodes into fresh arrays, keeping a column decoded whole
-        #: (every tile live) as its image for later queries.  Both load
-        #: through the same executor route, so answers and simulated time
-        #: are bit-identical either way; only peak memory and wall clock
-        #: differ.  Staged plans ignore it.
-        self.streaming = streaming
-        #: Worker threads the streaming executor runs morsels on.
-        self.stream_workers = stream_workers
+        if stream_workers < 1:
+            raise ValueError(f"stream_workers must be >= 1, got {stream_workers}")
+        if morsel_tiles is not None and morsel_tiles < 1:
+            raise ValueError(f"morsel_tiles must be >= 1, got {morsel_tiles}")
+        #: Worker threads the executor runs morsels on: ``stream_workers``
+        #: with ``streaming``, else 1.  The morsel, not a mode, picks where
+        #: a load lands: one covering the whole column decodes into fresh
+        #: arrays and keeps a decode with every tile live as the column's
+        #: image; a narrower one decodes into its worker's arena.  Answers
+        #: and simulated time are bit-identical at any worker count; only
+        #: peak memory and wall clock differ.  Staged plans ignore it.
+        self.stream_workers = stream_workers if streaming else 1
         #: Engine tiles per streaming morsel; pins the semantic cache's
         #: partial grid too.  ``None`` derives the width per query.
         self.morsel_tiles = morsel_tiles
@@ -424,10 +424,10 @@ class CrystalEngine:
         A column that is not inline-compressed is its own image.  An
         inline one has an image when the tiering manager pinned one or a
         whole-column decode was cached (:meth:`column_values`, or a
-        non-streaming load that found every tile live).  Under
-        :attr:`verify_cached` a cached image is first checked against the
-        column's CRC; a stale one is dropped and ``None`` returned, so the
-        caller decodes from the compressed payload.
+        morsel covering the whole column that found every tile live).
+        Under :attr:`verify_cached` a cached image is first checked against
+        the column's CRC; a stale one is dropped and ``None`` returned, so
+        the caller decodes from the compressed payload.
         """
         if not self.inline_column(col):
             return col.values
@@ -836,21 +836,16 @@ class CrystalEngine:
         """Run one query through the (cached) streaming executor."""
         from repro.engine.streaming import TileStreamExecutor
 
-        if self.streaming:
-            workers, morsel_tiles = self.stream_workers, self.morsel_tiles
-        else:
-            workers, morsel_tiles = 1, max(1, self.num_tiles)
         executor = self._stream_executor
-        if executor is not None and (
-            executor.workers != workers
-            or executor.morsel_tiles != morsel_tiles
-            or executor.metrics is not self.metrics
-        ):
+        if executor is not None and executor.metrics is not self.metrics:
             executor.close()
             executor = None
         if executor is None:
             executor = TileStreamExecutor(
-                self, workers=workers, morsel_tiles=morsel_tiles, metrics=self.metrics
+                self,
+                workers=self.stream_workers,
+                morsel_tiles=self.morsel_tiles,
+                metrics=self.metrics,
             )
             self._stream_executor = executor
         if self.semcache is not None:

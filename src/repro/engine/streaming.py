@@ -31,15 +31,15 @@ it every plan except the staged OmniSci baseline.
    * sparse rows, :meth:`TileStreamExecutor.gather_slice` — once few
      rows are live, just those rows read.
 
-   A streaming engine sizes morsels from the surviving tiles (or cuts a
-   pinned ``morsel_tiles``; a semantic-cache miss groups its fresh cache
-   spans the same way, see :meth:`TileStreamExecutor.run_partials`) and
-   decodes into a per-worker
-   :class:`~repro.formats.base.DecodeArena`, one buffer per dense load
-   of the query.  A non-streaming engine runs one morsel spanning its
-   whole tile span and loads into fresh arrays; a column it decoded
-   whole into rows becomes the engine's image, reused until
-   ``evict_decoded``.
+   Morsels are sized from the surviving tiles and the worker count (or
+   cut at a pinned ``morsel_tiles``; a semantic-cache miss groups its
+   fresh cache spans the same way, see
+   :meth:`TileStreamExecutor.run_partials`).  The morsel picks where its
+   loads land: a morsel narrower than the column decodes into its
+   worker's :class:`~repro.formats.base.DecodeArena`, one buffer per
+   dense load of the query; one covering the whole column decodes into
+   fresh arrays, and a column it decoded whole into rows becomes the
+   engine's image, reused until ``evict_decoded``.
 3. Partials are merged **in deterministic morsel order** with exact
    integer arithmetic, so answers are bit-identical at any morsel count
    and worker count; one fused fact kernel is then priced from the plan
@@ -595,15 +595,6 @@ class TileStreamExecutor:
         share = max(0, max_bytes) // len(arenas)
         return sum(arena.trim(share) for arena in arenas)
 
-    def _scratch(self):
-        """Where a morsel's loads land: the worker's :class:`DecodeArena`
-        on a streaming engine, fresh arrays otherwise (arena slots the
-        size of whole columns, pinned by the coordinator, raised the
-        ``scan-cold`` benchmark's peak RSS)."""
-        if self.engine.streaming:
-            return self._arena().scratch
-        return _fresh_buffer
-
     def _load_source(self, name: str, morsel: Morsel, col):
         """``(slice, None)`` when a whole-column image serves a morsel's
         load (:meth:`CrystalEngine.decoded_image`), else ``(None, codec)``
@@ -633,15 +624,17 @@ class TileStreamExecutor:
         (an uncompressed column's values, a pinned image or a cached
         decode) is sliced.  Otherwise the codec tiles overlapping
         ``[row_lo, row_hi)`` are decoded with one batched codec call, in
-        the dtype :meth:`CrystalEngine.decode_dtype` picks, into
-        :meth:`_scratch` buffer ``slot``: the morsel's ``slot``-th dense
-        load, so a worker's arena holds as many buffers as one query loads
-        columns densely, not one for every column it ever read.  Codec
-        tiles whose engine tiles were all pruned stay zero-filled (their
-        rows are dead in the morsel's selection by construction).  A
-        non-streaming engine keeps a decode that covered the whole column
-        with every codec tile live as the column's image, so later queries
-        reuse it until :meth:`CrystalEngine.evict_decoded`.
+        the dtype :meth:`CrystalEngine.decode_dtype` picks.  A morsel
+        narrower than the column decodes into its worker's arena buffer
+        ``slot``: the morsel's ``slot``-th dense load, so an arena holds
+        as many buffers as one query loads columns densely, not one for
+        every column it ever read.  A morsel covering the whole column
+        decodes into fresh arrays instead (arena slots that size, pinned
+        by the coordinator, raised the ``scan-cold`` benchmark's peak
+        RSS), and keeps a decode with every codec tile live as the
+        column's image, reused until :meth:`CrystalEngine.evict_decoded`.
+        Codec tiles whose engine tiles were all pruned stay zero-filled
+        (their rows are dead in the morsel's selection by construction).
 
         With a ``predicate``, the filter is fused into the decode via the
         codec's ``decode_filter_tiles_into`` and the return value becomes
@@ -673,7 +666,8 @@ class TileStreamExecutor:
         r0, r1 = morsel.row_lo, morsel.row_hi
         c0 = r0 // elems
         c1 = min(-(-r1 // elems), codec.num_tiles(enc))
-        scratch = self._scratch()
+        whole = r0 == 0 and r1 == enc.count
+        scratch = _fresh_buffer if whole else self._arena().scratch
         cap = (c1 - c0) * elems
         view = scratch(f"rows/{slot}", cap, self.engine.decode_dtype(name))[:cap]
         active = codec_tile_activity(tile_active, elems, c0, c1, morsel.tile_lo)
@@ -696,7 +690,7 @@ class TileStreamExecutor:
         if mview is not None:
             self.engine.count_fused_kernel(fused_rows)
             return vals, mview[off : off + (r1 - r0)]
-        if not self.engine.streaming and r1 - r0 == enc.count and active.all():
+        if whole and active.all():
             vals = self.engine.cache_image(name, col, vals)
         return (vals, None) if want_mask else vals
 

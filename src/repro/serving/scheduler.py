@@ -62,6 +62,10 @@ from repro.serving.tiering import CodecTieringManager, TieringPolicy
 from repro.ssb.dbgen import SSBDatabase
 from repro.ssb.loader import ColumnStore
 
+#: Simulated backoff before the first retry of a transient decode
+#: failure; it doubles with every further attempt.
+RETRY_BACKOFF_MS = 5.0
+
 
 class ServerSaturated(RuntimeError):
     """The bounded admission queue is full — back off and retry."""
@@ -163,13 +167,9 @@ class QueryServer:
         stream_workers: int = 4,
         morsel_tiles: int | None = None,
         max_retries: int = 2,
-        retry_backoff_ms: float = 5.0,
         verify_cached: bool = False,
-        trim_arenas_when_idle: bool = True,
         semantic_cache: bool = False,
-        semcache_budget_bytes: int | None = None,
         num_shards: int = 1,
-        interconnect_gbps: float = 50.0,
         replicate_columns: tuple[str, ...] = (),
         tiering: "TieringPolicy | bool | None" = None,
         compiler: QueryCompiler | None = None,
@@ -180,6 +180,8 @@ class QueryServer:
             raise ValueError(f"batch_window must be positive, got {batch_window}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be non-negative, got {max_retries}")
+        if stream_workers < 1:
+            raise ValueError(f"stream_workers must be >= 1, got {stream_workers}")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Every group runs through the router: ``num_shards`` tile-range
         #: shards, each with its own device, pool and engine.
@@ -189,13 +191,10 @@ class QueryServer:
             num_shards,
             budget_bytes=budget_bytes,
             metrics=self.metrics,
-            stream_workers=stream_workers,
+            stream_workers=stream_workers if streaming else 1,
             morsel_tiles=morsel_tiles,
-            interconnect_gbps=interconnect_gbps,
-            streaming=streaming,
             verify_cached=verify_cached,
             semantic_cache=semantic_cache,
-            semcache_budget_bytes=semcache_budget_bytes,
             replicate_columns=replicate_columns,
         )
         self.store = store
@@ -226,9 +225,6 @@ class QueryServer:
                 invalidate=self._invalidate_column,
                 clock=lambda: self.clock_ms,
             )
-        #: Release streaming decode-arena scratch when the scheduler
-        #: thread has seen the queue empty for consecutive waits.
-        self.trim_arenas_when_idle = trim_arenas_when_idle
         # The process-global bit-packing backend, visible to scrapes next
         # to the latency series.
         self.metrics.set_info("kernel_backend", kernels.backend_name())
@@ -238,7 +234,6 @@ class QueryServer:
         #: Bounded retries for transient decode failures, with simulated
         #: exponential backoff added to the group's execution time.
         self.max_retries = max_retries
-        self.retry_backoff_ms = retry_backoff_ms
         #: Columns whose compressed source failed verification twice
         #: (initial decode and the re-decode-from-source fallback):
         #: requests touching them are answered with a structured error
@@ -441,7 +436,7 @@ class QueryServer:
                 while not self._queue and not self._closed:
                     self._not_empty.wait(0.05)
                     idle_waits += 1
-                    if idle_waits == 2 and self.trim_arenas_when_idle:
+                    if idle_waits == 2:
                         # Two consecutive empty waits: the burst is over.
                         # Release decode-arena scratch exactly once per
                         # idle period (the counter keeps climbing until
@@ -640,7 +635,7 @@ class QueryServer:
                 self.metrics.inc("server_transient_retries")
                 if attempts >= self.max_retries:
                     raise
-                backoff_ms += self.retry_backoff_ms * (2.0 ** attempts)
+                backoff_ms += RETRY_BACKOFF_MS * (2.0 ** attempts)
                 attempts += 1
             except CorruptTileError as exc:
                 self.metrics.inc("server_checksum_failures")

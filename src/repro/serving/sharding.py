@@ -59,10 +59,10 @@ from repro.engine.streaming import TileStreamExecutor
 from repro.formats.base import TileCodec
 from repro.formats.registry import get_codec
 from repro.gpusim.multigpu import ShardedDevice
-from repro.gpusim.spec import GPUSpec
+from repro.gpusim.spec import V100, GPUSpec
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.pool import ColumnPool
-from repro.serving.semcache import DEFAULT_SEMCACHE_BUDGET, SemanticResultCache
+from repro.serving.semcache import SemanticResultCache
 from repro.ssb.dbgen import SSBDatabase
 from repro.ssb.loader import ColumnStore
 
@@ -146,10 +146,10 @@ class ShardRouter:
     :class:`~repro.ssb.loader.ColumnStore`.  ``budget_bytes`` is the
     byte budget of **each** shard's pool (default: the device spec's
     global memory); ``replicate_columns`` are pinned in full on every
-    shard.  ``streaming`` picks the shard engines' execution style.  The
-    router's :attr:`elapsed_ms` is the simulated clock of everything
-    routed through it (slowest selected shard per query, plus
-    interconnect merges).
+    shard.  Each shard's engine runs morsels on ``stream_workers``
+    threads.  The router's :attr:`elapsed_ms` is the simulated clock of
+    everything routed through it (slowest selected shard per query,
+    plus interconnect merges).
     """
 
     def __init__(
@@ -161,36 +161,17 @@ class ShardRouter:
         metrics: MetricsRegistry | None = None,
         stream_workers: int = 4,
         morsel_tiles: int | None = None,
-        interconnect_gbps: float = 50.0,
-        spec: GPUSpec | None = None,
-        streaming: bool = True,
+        spec: GPUSpec = V100,
         verify_cached: bool = False,
         semantic_cache: bool = False,
-        semcache_budget_bytes: int | None = None,
         replicate_columns: Iterable[str] = (),
-        sharded: ShardedDevice | None = None,
     ):
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        if semantic_cache and not streaming:
-            raise ValueError(
-                "semantic_cache requires streaming=True: partials are "
-                "cached at morsel granularity"
-            )
         self.db = db
         self.store = store
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        if sharded is None:
-            kwargs = {"interconnect_gbps": interconnect_gbps}
-            if spec is not None:
-                kwargs["spec"] = spec
-            sharded = ShardedDevice(num_shards, **kwargs)
-        elif sharded.num_devices != num_shards:
-            raise ValueError(
-                f"sharded device has {sharded.num_devices} devices, "
-                f"router wants {num_shards} shards"
-            )
-        self.sharded = sharded
+        self.sharded = sharded = ShardedDevice(num_shards, spec=spec)
         self.num_rows = db.num_lineorder_rows
         #: Rows per legal shard boundary (codec tile LCM).
         self.alignment = codec_tile_alignment(store)
@@ -219,7 +200,7 @@ class ShardRouter:
                 store,
                 device=sharded.devices[i],
                 pool=pool,
-                streaming=streaming,
+                streaming=True,
                 stream_workers=stream_workers,
                 morsel_tiles=morsel_tiles,
                 tile_span=(tile_lo, tile_hi),
@@ -227,12 +208,7 @@ class ShardRouter:
             engine.metrics = self.metrics
             engine.verify_cached = verify_cached
             if semantic_cache:
-                engine.semcache = SemanticResultCache(
-                    semcache_budget_bytes
-                    if semcache_budget_bytes is not None
-                    else DEFAULT_SEMCACHE_BUDGET,
-                    metrics=self.metrics,
-                )
+                engine.semcache = SemanticResultCache(metrics=self.metrics)
             self.shards.append(
                 ColumnShard(
                     index=i,

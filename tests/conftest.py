@@ -37,7 +37,7 @@ def run_plan():
 
     Returns ``(result, pipelines)``: the :class:`QueryResult` and every
     pipeline ``body`` saw, in order — the plan pass's first, then the
-    morsels' (one spanning the whole grid on a non-streaming engine,
+    morsels' (one on the default 1-worker engine,
     none when pushdown pruned every tile).  ``body`` runs once per
     pipeline, so it sizes its row arrays by ``p.n``; a dict it returns
     is the query's answer.

@@ -201,3 +201,6 @@ def test_concurrent_corruption_storm_pool_consistent(ssb_db, store):
 def test_invalid_constructor_args(ssb_db, store):
     with pytest.raises(ValueError):
         QueryServer(ssb_db, store, max_retries=-1)
+    # Refused even where ``streaming=False`` would run one worker anyway.
+    with pytest.raises(ValueError, match="stream_workers"):
+        QueryServer(ssb_db, store, stream_workers=0)

@@ -1,14 +1,14 @@
-"""One load route: a non-streaming engine reads columns the way a streaming one does.
+"""One load route: the default engine reads columns the way a streaming one does.
 
 Every morsel's inline load goes through ``TileStreamExecutor.decode_slice``
-(dense and fused) or ``gather_slice`` (sparse), including the whole-span
-morsel of a non-streaming engine.  These tests pin the behaviour the
+(dense and fused) or ``gather_slice`` (sparse), including the one morsel
+of the default (1-worker) engine.  These tests pin the behaviour the
 route shares, over the date-sorted SF 0.01 database, where pushdown
 prunes tiles and loads take every route:
 
 * a cached decoded image is CRC-checked under ``verify_cached`` whichever
   route reads it, so a corrupted image is re-decoded, not served;
-* ``fault_hook`` sees the same columns on a non-streaming engine as on a
+* ``fault_hook`` sees the same columns on the default engine as on a
   1-worker streaming one;
 * an engine restricted to part of the tile grid (``tile_span``) answers
   and prices like a streaming engine over the same span.
@@ -77,7 +77,8 @@ def test_fault_hook_sees_the_same_columns(sorted_db, sorted_store, queries):
         for name, query in queries.items():
             whole_cols.clear()
             streamed_cols.clear()
-            whole.evict_decoded()  # every flight loads from the payload
+            for engine in (whole, streamed):
+                engine.evict_decoded()  # every flight loads from the payload
             whole.run(query)
             streamed.run(query)
             assert whole_cols == streamed_cols, name

@@ -118,7 +118,7 @@ def _scan(engine, predicate, exact_preds):
         return seen["total"]
 
     engine.run(SSBQuery("t", (), fn))
-    # The last pipeline is the whole-grid morsel, or the plan pass when
+    # The last pipeline is the engine's one morsel, or the plan pass when
     # pushdown pruned every tile (no morsel runs, no row is live).
     rows = seen["rows"]
     return seen["pruned"], seen["total"], seen["by_code"], int(rows.size), rows.tobytes()
@@ -208,7 +208,7 @@ class TestPushdownMechanics:
         _, pipes = run_plan(
             engine, lambda p: pruned.append(p.filter_pushdown(Range("lo_key", 10_000, None)))
         )
-        assert pruned == [0, 0]  # plan pass, then the whole-grid morsel
+        assert pruned == [0, 0]  # plan pass, then the one morsel
         assert pipes[-1].tile_active.all()
 
     def test_pruned_tiles_skip_decode_and_read_bytes(self, rng, run_plan):

@@ -416,9 +416,23 @@ class TestBudget:
 
 
 class TestServerIntegration:
-    def test_semantic_cache_requires_streaming(self, sorted_db, sorted_store):
-        with pytest.raises(ValueError, match="streaming"):
-            QueryServer(sorted_db, sorted_store, semantic_cache=True)
+    def test_one_worker_cache_matches_uncached(self, sorted_db, sorted_store):
+        """A 1-worker server (no ``streaming``) runs the semantic cache
+        too: cold and warm answers equal an uncached server's."""
+        cached = QueryServer(sorted_db, sorted_store, semantic_cache=True)
+        plain = QueryServer(sorted_db, sorted_store)
+        assert cached.engine.stream_workers == 1
+        for _round in range(2):
+            for label, pred in DRILLDOWN:
+                q = make_scan(f"scan-{label}", pred)
+                got, want = (server.query(q) for server in (cached, plain))
+                cached.drain()
+                plain.drain()
+                assert got.result().ok and want.result().ok, label
+                assert got.result().groups == want.result().groups, label
+        assert cached.metrics_snapshot()["semcache_hits"] > 0
+        for server in (cached, plain):
+            server.stop()
 
     def test_equivalent_spellings_coalesce(self, sorted_db, sorted_store):
         # Two ad-hoc requests with the same rows under different

@@ -249,19 +249,17 @@ class TestReleaseHook:
 
 
 class TestStreamArenaAccounting:
-    @pytest.fixture(scope="class")
-    def db(self):
-        return generate(scale_factor=0.002, seed=7)
-
-    def test_streaming_scratch_accounted_and_evictable(self, db):
+    def test_streaming_scratch_accounted_and_evictable(self, ssb_db, gpu_star_store):
         from repro.engine.crystal import CrystalEngine
         from repro.engine.ssb_queries import QUERIES
 
-        store = load_lineorder(db, "gpu-star")
+        # Two workers over 118 tiles: two morsels, each narrower than
+        # the column, so loads land in the worker arenas.
         pool = ColumnPool(64 * 1024 * 1024)
-        engine = CrystalEngine(db, store, pool=pool, streaming=True,
+        engine = CrystalEngine(ssb_db, gpu_star_store, pool=pool, streaming=True,
                                stream_workers=2)
         engine.run(QUERIES["q1.1"])
+        assert engine.last_stream_stats["morsels"] == 2
         resident = pool.lookup("scratch/stream-arenas")
         assert resident is not None
         assert resident.kind == "scratch" and resident.payload is None
@@ -275,21 +273,19 @@ class TestStreamArenaAccounting:
         # The next streaming query re-grows and re-accounts.
         engine.run(QUERIES["q1.1"])
         assert pool.lookup("scratch/stream-arenas") is not None
+        engine.close()
 
 
 class TestServerIdleTrim:
-    @pytest.fixture(scope="class")
-    def db(self):
-        return generate(scale_factor=0.002, seed=7)
+    """Two workers over the 118-tile session table: each query runs two
+    morsels narrower than the column, which decode into worker arenas."""
 
-    def test_trim_idle_releases_after_burst(self, db):
+    def test_trim_idle_releases_after_burst(self, ssb_db, gpu_star_store):
         from repro.serving import QueryServer
+        from repro.serving.scheduler import ServeRequest
 
-        store = load_lineorder(db, "gpu-star")
-        server = QueryServer(db, store, streaming=True, stream_workers=2)
-        results = server.serve([__import__("repro.serving.scheduler",
-                                           fromlist=["ServeRequest"])
-                                .ServeRequest("query", "q1.1")])
+        server = QueryServer(ssb_db, gpu_star_store, streaming=True, stream_workers=2)
+        results = server.serve([ServeRequest("query", "q1.1")])
         assert results[0].ok
         held = server.engine._stream_executor.peak_decoded_bytes
         assert held > 0
@@ -297,18 +293,17 @@ class TestServerIdleTrim:
         assert released == held
         assert server.metrics.counter("arena_trim_releases") == 1
         assert server.metrics.counter("arena_trimmed_bytes") == held
+        server.stop()
 
-    def test_scheduler_thread_trims_when_idle(self, db):
+    def test_scheduler_thread_trims_when_idle(self, ssb_db, gpu_star_store):
         import time as _time
 
         from repro.serving import QueryServer
+        from repro.serving.scheduler import ServeRequest
 
-        store = load_lineorder(db, "gpu-star")
-        server = QueryServer(db, store, streaming=True, stream_workers=2)
+        server = QueryServer(ssb_db, gpu_star_store, streaming=True, stream_workers=2)
         server.start()
         try:
-            from repro.serving.scheduler import ServeRequest
-
             fut = server.submit(ServeRequest("query", "q1.1"))
             assert fut.result(timeout=60).ok
             deadline = _time.monotonic() + 5.0
@@ -318,25 +313,6 @@ class TestServerIdleTrim:
                 _time.sleep(0.02)
             assert server.metrics.counter("arena_trim_releases") >= 1
             assert server.engine._stream_executor.peak_decoded_bytes == 0
-        finally:
-            server.stop()
-
-    def test_idle_trim_can_be_disabled(self, db):
-        import time as _time
-
-        from repro.serving import QueryServer
-        from repro.serving.scheduler import ServeRequest
-
-        store = load_lineorder(db, "gpu-star")
-        server = QueryServer(db, store, streaming=True, stream_workers=2,
-                             trim_arenas_when_idle=False)
-        server.start()
-        try:
-            fut = server.submit(ServeRequest("query", "q1.1"))
-            assert fut.result(timeout=60).ok
-            _time.sleep(0.3)
-            assert server.metrics.counter("arena_trim_releases") == 0
-            assert server.engine._stream_executor.peak_decoded_bytes > 0
         finally:
             server.stop()
 

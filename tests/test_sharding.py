@@ -292,11 +292,11 @@ class TestShardedLookup:
 class TestShardedServer:
     @pytest.mark.parametrize("num_shards", (2, 3))
     def test_non_streaming_matches_streaming(self, ssb_db, gpu_star_store, num_shards):
-        """Shards of a non-streaming router run their span as one morsel:
-        same answers and same simulated ms as streaming shards."""
+        """Shards on one worker run their span as one morsel: same
+        answers and same simulated ms as shards on the default workers."""
         routers = [
-            ShardRouter(ssb_db, gpu_star_store, num_shards, streaming=streaming)
-            for streaming in (False, True)
+            ShardRouter(ssb_db, gpu_star_store, num_shards, stream_workers=1),
+            ShardRouter(ssb_db, gpu_star_store, num_shards),
         ]
         for qname in MATRIX_QUERIES:
             (plain, plain_ms), (streamed, streamed_ms) = (

@@ -8,7 +8,7 @@ Five layers of coverage:
   mistyped buffers;
 * many morsels vs one — for every GPU-* codec and a cross-flight query
   matrix, a streaming engine must return the same aggregates and kernel
-  count as the default engine's single whole-grid morsel at every
+  count as the default engine's one morsel (one worker) at every
   worker count, including unaligned morsel widths and plans whose
   pushdown prunes every tile (``test_ssb_sim_golden.py`` pins the
   default engine itself);
@@ -265,7 +265,12 @@ class TestStreamingBitIdentity:
             stats = engine.last_stream_stats
             assert stats["workers"] == workers
             assert stats["morsels"] == len(stats["morsel_ms"])
-            assert stats["peak_decoded_bytes"] > 0
+            # A morsel covering the whole column decodes into fresh
+            # arrays; only narrower ones fill the workers' arenas.
+            narrower = stats["morsels"] > 1 or (
+                stats["morsels"] == 1 and stats["morsel_tiles"] < stats["tiles_total"]
+            )
+            assert (stats["peak_decoded_bytes"] > 0) == narrower, label
 
     def test_one_codec_call_per_column_per_morsel(
         self, codec_store, ssb_db, monkeypatch
@@ -289,8 +294,8 @@ class TestStreamingBitIdentity:
         query = _checkerboard_query(8 if codec_name == "gpu-simdbp128" else 1,
                                     ssb_db.num_lineorder_rows)
         CrystalEngine(ssb_db, store).run(query)
-        # Every column load of the whole-grid morsel, fragmented or
-        # full-grid (row_id), is one call.
+        # Every column load of the default engine's one morsel,
+        # fragmented or full-grid (row_id), is one call.
         assert len(calls) == 4 and max(calls.values()) == 1, calls
         calls.clear()
         # One worker derives one morsel; a pinned width cuts several.
@@ -492,6 +497,31 @@ class TestMergeSemantics:
         # None derives the width per query; an explicit width is kept.
         assert TileStreamExecutor(engine).morsel_tiles is None
         assert TileStreamExecutor(engine, morsel_tiles=3).morsel_tiles == 3
+
+    @pytest.mark.parametrize("streaming", (False, True))
+    def test_engine_rejects_bad_config(self, ssb_db, gpu_star_store, streaming):
+        # Refused at construction, whatever the mode, not at the first run.
+        for kwargs in ({"stream_workers": 0}, {"morsel_tiles": 0}):
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                CrystalEngine(ssb_db, gpu_star_store, streaming=streaming, **kwargs)
+
+    def test_default_engine_is_one_worker(self, ssb_db, gpu_star_store):
+        """Without ``streaming`` the engine is the 1-worker executor: same
+        answers, simulated ms, kernels and cached images, flight by flight."""
+        plain = CrystalEngine(ssb_db, gpu_star_store)
+        one = CrystalEngine(ssb_db, gpu_star_store, streaming=True, stream_workers=1)
+        assert len(QUERIES) == 13
+        for qname, query in QUERIES.items():
+            a, b = plain.run(query), one.run(query)
+            assert a.groups == b.groups, qname
+            assert repr(a.simulated_ms) == repr(b.simulated_ms), qname
+            assert a.kernel_count == b.kernel_count, qname
+            images = [
+                {key for key in engine._cache if key.startswith("decoded/")}
+                for engine in (plain, one)
+            ]
+            assert images[0] == images[1], qname
+        assert images[0], "the flights keep no whole-column image"
 
 
 # ---------------------------------------------------------------------------
