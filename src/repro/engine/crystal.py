@@ -52,7 +52,6 @@ from repro.formats.base import (
 from repro.formats.registry import get_codec
 from repro.gpusim.executor import GPUDevice
 from repro.gpusim.memory import linear_bytes
-from repro.engine.live import LiveColumn
 from repro.engine.lookup import MISS, Lookup, make_lookup
 from repro.engine.runs import RunColumn
 from repro.engine.predicates import (
@@ -998,22 +997,26 @@ class FactPipeline:
 
     The selection is a sorted vector of the span's live rows (``None``
     until the first filter drops a row); operators take their inputs at
-    those rows, and the host never touches a dead row's value.  A sparse
-    load (the executor's gather route) and a probe under a selection
-    return a :class:`~repro.engine.live.LiveColumn`: the values at the
-    live rows of the moment, which :meth:`live` re-aligns with the
-    selection once it narrows, so no operator holds an array as wide as
-    the span for a column read at a few rows.
+    those rows, and the host never touches a dead row's value.
 
-    A dense load of a GPU-RFOR column may come back as a
-    :class:`~repro.engine.runs.RunColumn` (the executor's run route), and
-    every operator taking a per-row array takes one: a pushdown conjunct,
-    :meth:`filter_predicate` or :meth:`filter` tests each run once and
-    turns the surviving runs into row ranges of the selection,
-    :meth:`probe` looks each live run's key up once and returns the
-    payloads as runs, and :meth:`live` expands values at the live rows
-    only.  Pricing is the same on every route: it follows tile activity
-    and live-row counts, never the host's representation.
+    Every operator taking a per-row array also takes the one other form
+    a column comes in, a :class:`~repro.engine.runs.RunColumn`:
+
+    * a dense load of a GPU-RFOR column (the executor's run route) comes
+      back as runs of many rows.  A pushdown conjunct,
+      :meth:`filter_predicate` or :meth:`filter` tests each run once and
+      turns the surviving runs into row ranges of the selection,
+      :meth:`probe` looks each live run's key up once and returns the
+      payloads as runs, and :meth:`live` expands values at the live rows
+      only;
+    * a sparse load (the executor's gather route) and a probe under a
+      selection come back as runs of one row each, at the live rows of
+      the moment.  :meth:`live` re-aligns them with the selection once it
+      narrows, so no operator holds an array as wide as the span for a
+      column read at a few rows.
+
+    Pricing is the same on every route: it follows tile activity and
+    live-row counts, never the host's representation.
     """
 
     def __init__(
@@ -1071,7 +1074,7 @@ class FactPipeline:
         :data:`SPARSE_GATHER_FRACTION` of the span's rows are live the
         host reads just those rows (:meth:`TileCodec.gather_rows`)
         instead of decoding every active tile, and they come back as a
-        :class:`~repro.engine.live.LiveColumn`.  Decoded rows are int32
+        run column of one-row runs at those rows.  Decoded rows are int32
         where the column fits (:meth:`CrystalEngine.decode_dtype`).
         """
         self._check_open()
@@ -1251,10 +1254,10 @@ class FactPipeline:
         Returns the payloads over the span's rows
         (:data:`~repro.engine.lookup.MISS` where a live row's key has no
         qualifying dimension row); like a load's values, a dead row's
-        entry is unspecified.  Under a selection they come back as a
-        :class:`~repro.engine.live.LiveColumn` at the live rows; keys
-        held as runs are looked up once per run, and the payloads come
-        back as runs over the same rows.
+        entry is unspecified.  Under a selection they come back as
+        one-row runs at the live rows; keys held as runs of many rows are
+        looked up once per run, and the payloads come back as runs over
+        the same rows.
         """
         self._check_open()
         count = self.live_count
@@ -1270,30 +1273,34 @@ class FactPipeline:
             self._gathers.append((count, 4, lookup.nbytes))
             self._compute += count * 3
         if isinstance(keys, RunColumn):
-            return keys.with_values(self._probe_runs(lookup, keys))
+            return self._probe_runs(lookup, keys)
         found = lookup.probe(self.live(keys))
         if self._rows is None:
             return found
-        return LiveColumn(found, self._rows, self.n)
+        return RunColumn(found, self._rows, self.n)
 
-    def _probe_runs(self, lookup: Lookup, keys: RunColumn) -> np.ndarray:
-        """One payload per run of ``keys``.
+    def _probe_runs(self, lookup: Lookup, keys: RunColumn) -> RunColumn:
+        """The payloads of run ``keys``: one per run over the same runs.
 
         Every run is probed while every run is live, or while every key
         lies in the lookup's range; otherwise only the live runs are,
         so a key the dimension lacks fails where a live row holds it,
-        as on the row route, and never on a dead run.
+        as on the row route, and never on a dead run.  One-row runs are
+        probed at the live rows alone, as an array is, and the payloads
+        come back at those rows.
         """
+        if keys.lengths is None:
+            return RunColumn(lookup.probe(self.live(keys)), self.rows, self.n)
         values = keys.values
         live = self._live_whole_runs(keys)
         if live is not None and live.size == values.size or lookup.covers(values):
-            return lookup.probe(values)
+            return keys.with_values(lookup.probe(values))
         if live is None:
             ids = self._live_run_ids(keys)
             live = ids[np.flatnonzero(np.diff(ids, prepend=-1))]
         found = np.full(values.size, MISS, dtype=lookup.payload.dtype)
         found[live] = lookup.probe(values[live])
-        return found
+        return keys.with_values(found)
 
     def group_sum(
         self, codes: np.ndarray, weights: np.ndarray, num_groups: int
@@ -1432,31 +1439,38 @@ class FactPipeline:
         which is returned as is; while every row is live the two are the
         same array.  Operators accept either form, so a plan can compute
         codes and measures on live rows only.  A run column is expanded
-        at the live rows alone, and a live-row column taken at an earlier
-        (wider) selection is re-aligned with this one.
+        at the live rows alone, and one-row runs read at an earlier
+        (wider) selection are re-aligned with this one.
         """
         values = self._row_array(values, "values")
-        if isinstance(values, LiveColumn):
-            return values.at(self.rows)
         if isinstance(values, RunColumn):
-            live = self._live_whole_runs(values)
-            if live is None:
-                return values.values.take(self._live_run_ids(values))
-            if live.size == values.values.size:
-                return np.repeat(values.values, values.lengths)
-            return np.repeat(values.values.take(live), values.lengths.take(live))
+            return self._at_live_rows(values, values.values)
         if self._rows is None or values.shape[0] == self._rows.size:
             return values
         return values.take(self._rows)
 
+    def _at_live_rows(self, runs: RunColumn, per_run: np.ndarray) -> np.ndarray:
+        """``per_run`` (one value per run of ``runs``) at the live rows."""
+        if runs.lengths is None and self.live_count == runs.covered:
+            return per_run  # one-row runs, every one live
+        live = self._live_whole_runs(runs)
+        if live is None:
+            return per_run.take(self._live_run_ids(runs))
+        if live.size == per_run.size:
+            return np.repeat(per_run, runs.lengths)
+        return np.repeat(per_run.take(live), runs.lengths.take(live))
+
     def _live_whole_runs(self, runs: RunColumn) -> np.ndarray | None:
         """The runs of ``runs`` whose rows are exactly the live rows, in
-        order, or ``None`` when the selection is no union of whole runs.
+        order, or ``None`` when the selection is no union of whole runs
+        or the runs are one row each (:meth:`_live_run_ids` finds theirs).
 
         A run column covers the live codec tiles of its load, and every
         live row lies in a live tile, so as many live rows as covered
         rows means every run is live.
         """
+        if runs.lengths is None:
+            return None
         whole = self._whole_runs
         if whole is not None and whole[0] is runs.starts:
             return whole[1]
@@ -1465,7 +1479,14 @@ class FactPipeline:
         return None
 
     def _live_run_ids(self, runs: RunColumn) -> np.ndarray:
-        """The run of ``runs`` each live row falls in (selection set)."""
+        """The run of ``runs`` each live row falls in (selection set).
+
+        Cached for runs of many rows.  One-row runs take one search each
+        time, so a plan that interleaves them with a run column never
+        evicts that column's views.
+        """
+        if runs.lengths is None:
+            return runs.run_of(self._rows)
         cached = self._row_runs
         if cached is None or cached[0] is not runs.starts:
             live = self._live_whole_runs(runs)
@@ -1478,7 +1499,7 @@ class FactPipeline:
         return cached[1]
 
     def _row_array(self, values, what: str) -> np.ndarray:
-        if isinstance(values, (RunColumn, LiveColumn)):
+        if isinstance(values, RunColumn):
             if values.n != self.n:
                 raise ValueError(f"{what} must cover every fact row of the span")
             return values
@@ -1503,11 +1524,11 @@ class FactPipeline:
 
     def _narrow_runs(self, runs: RunColumn, keep: np.ndarray) -> None:
         """Keep the live rows whose run of ``runs`` ``keep`` (one bool per
-        run) holds; while every run is live, the kept runs' rows become
-        the selection directly."""
+        run) holds; while the live rows are whole runs of many rows, the
+        kept runs' rows become the selection directly."""
         live = self._live_whole_runs(runs)
         if live is None:
-            self._narrow(keep[self._live_run_ids(runs)])
+            self._narrow(self._at_live_rows(runs, keep))
             return
         kept = live[keep.take(live)]
         if kept.size < live.size:

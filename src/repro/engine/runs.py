@@ -1,12 +1,23 @@
-"""Run columns: a fact column held as runs of equal values.
+"""Run columns: a fact column over a pipeline's span, held as runs.
 
-GPU-RFOR stores each 512-value block as run values plus run lengths
-(paper Section 6).  The executor loads such a column as a
-:class:`RunColumn`, and :class:`~repro.engine.crystal.FactPipeline`
-accepts one anywhere it accepts a per-row array: a filter tests each run
-once and keeps whole runs, a probe looks each run's key up once, and
-values are expanded only at the rows an operator needs (``live()``), in
-the spirit of Huang et al.'s SQL operators on RLE-encoded columns.
+This is the one form, besides a per-row array, in which the executor
+hands a column to :class:`~repro.engine.crystal.FactPipeline`.
+
+* GPU-RFOR stores each 512-value block as run values plus run lengths
+  (paper Section 6), and a dense load of such a column comes back as
+  runs of many rows: a filter tests each run once and keeps whole runs,
+  a probe looks each run's key up once, and values are expanded only at
+  the rows an operator needs (``live()``), in the spirit of Huang et
+  al.'s SQL operators on RLE-encoded columns.
+* A sparse load, which reads just the selection's rows
+  (:meth:`~repro.formats.base.TileCodec.gather_rows`), and a probe under
+  a selection come back as runs of one row each (``lengths is None``):
+  the values with the sorted selection rows they were read at, so no
+  buffer as wide as the span holds them.  This is the host's
+  counterpart of the paper's fused kernel, whose work in flight is sized
+  by the rows a tile keeps.  Selections only shrink, so the pipeline
+  re-aligns such a column with its live rows by one search
+  (:meth:`RunColumn.run_of`).
 
 Elementwise arithmetic and comparisons with scalars (or with another
 column over the same runs) stay on runs, so ``payload != MISS`` is one
@@ -26,26 +37,27 @@ class RunColumn(np.lib.mixins.NDArrayOperatorsMixin):
     """One column over a pipeline's span of ``n`` rows, as runs.
 
     Run ``i`` holds ``values[i]`` at span rows ``starts[i]`` up to
-    ``starts[i] + lengths[i]``.  Runs ascend and never overlap; rows no
-    run covers are dead in the pipeline's selection (their tile was
-    pruned), so their value is never read.
+    ``starts[i] + lengths[i]``; ``lengths=None`` means every run is one
+    row, so ``starts`` are the rows the values were read at.  Runs ascend
+    and never overlap; rows no run covers are dead in the pipeline's
+    selection (their tile was pruned, or they were dead when the column
+    was read), so their value is never read.
     """
 
-    __slots__ = ("values", "lengths", "starts", "n", "_covered")
+    __slots__ = ("values", "starts", "n", "lengths", "_covered")
 
     def __init__(
         self,
         values: np.ndarray,
-        lengths: np.ndarray,
         starts: np.ndarray,
         n: int,
-        _covered: int | None = None,
+        lengths: np.ndarray | None = None,
     ):
         self.values = values
-        self.lengths = lengths
         self.starts = starts
         self.n = int(n)
-        self._covered = _covered
+        self.lengths = lengths
+        self._covered = starts.size if lengths is None else None
 
     @property
     def shape(self) -> tuple[int]:
@@ -59,7 +71,9 @@ class RunColumn(np.lib.mixins.NDArrayOperatorsMixin):
 
     def with_values(self, values: np.ndarray) -> RunColumn:
         """The same runs holding ``values`` (one per run)."""
-        return RunColumn(values, self.lengths, self.starts, self.n, self._covered)
+        out = RunColumn(values, self.starts, self.n, self.lengths)
+        out._covered = self._covered
+        return out
 
     def same_runs(self, other) -> bool:
         """Whether ``other`` is a run column over these very runs."""
@@ -80,15 +94,21 @@ class RunColumn(np.lib.mixins.NDArrayOperatorsMixin):
 
     def expand(self) -> np.ndarray:
         """The value at every row of the span (0 where no run covers it)."""
-        if self.covers_span:
+        if self.lengths is None:
+            values = self.values
+        elif self.covers_span:
             return np.repeat(self.values, self.lengths)
+        else:
+            values = np.repeat(self.values, self.lengths)
         out = np.zeros(self.n, dtype=self.values.dtype)
-        out[self.rows_of()] = np.repeat(self.values, self.lengths)
+        out[self.rows_of()] = values
         return out
 
     def rows_of(self, runs: np.ndarray | None = None) -> np.ndarray:
         """The sorted span rows of ``runs`` (ascending run indices; every
         run when ``None``): each run becomes a range of rows."""
+        if self.lengths is None:
+            return self.starts if runs is None else self.starts.take(runs)
         starts, lengths = self.starts, self.lengths
         if runs is not None:
             starts, lengths = starts.take(runs), lengths.take(runs)
@@ -106,6 +126,8 @@ class RunColumn(np.lib.mixins.NDArrayOperatorsMixin):
     def run_of(self, rows: np.ndarray) -> np.ndarray:
         """The run each of the sorted ``rows`` falls in (every row must be
         covered by a run)."""
+        if self.lengths is None:
+            return np.searchsorted(self.starts, rows)
         if 8 * rows.size < self.n or not self.covers_span:
             return np.searchsorted(self.starts, rows, side="right") - 1
         return np.repeat(np.arange(self.values.size), self.lengths)[rows]

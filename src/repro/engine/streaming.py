@@ -29,7 +29,8 @@ it every plan except the staged OmniSci baseline.
      :class:`~repro.engine.runs.RunColumn`, which the pipeline filters
      and probes once per run;
    * sparse rows, :meth:`TileStreamExecutor.gather_slice` — once few
-     rows are live, just those rows read.
+     rows are live, just those rows read, which come back in the same
+     form as runs of one row each.
 
    Morsels are sized from the surviving tiles and the worker count (or
    cut at a pinned ``morsel_tiles``; a semantic-cache miss groups its
@@ -73,10 +74,10 @@ A morsel's memory follows its live rows and its columns' real width,
 which is what lets one morsel per worker fit.  Dense rows decode into
 int32 where the column's zone-map bounds fit
 (:meth:`CrystalEngine.decode_dtype`); a sparse load, and a probe under
-a selection, come back as a :class:`~repro.engine.live.LiveColumn` at
-the live rows rather than scattered into a buffer as wide as the
-morsel; and an arena keeps one buffer per dense load of a query, not
-one per column it ever read.
+a selection, come back as a :class:`~repro.engine.runs.RunColumn` of
+one-row runs at the live rows rather than scattered into a buffer as
+wide as the morsel; and an arena keeps one buffer per dense load of a
+query, not one per column it ever read.
 
 The calling thread drains morsels too, rather than idling on futures.
 glibc gives each thread that allocates its own malloc arena and keeps
@@ -115,7 +116,6 @@ from repro.engine.crystal import (
     codec_tile_activity,
     decode_active_tiles,
 )
-from repro.engine.live import LiveColumn
 from repro.engine.lookup import Lookup
 from repro.engine.runs import RunColumn
 from repro.engine.predicates import (
@@ -731,7 +731,7 @@ class TileStreamExecutor:
             np.subtract(ends, starts, out=lengths)
             keep = lengths > 0
             values, lengths, starts = values[keep], lengths[keep], starts[keep]
-        return RunColumn(values, lengths, starts, n)
+        return RunColumn(values, starts, n, lengths)
 
     def gather_slice(
         self, name: str, morsel: Morsel, rows: np.ndarray, col
@@ -741,16 +741,16 @@ class TileStreamExecutor:
         A whole-column image is sliced, as :meth:`decode_slice` would;
         otherwise one :meth:`TileCodec.gather_rows` call reads just the
         rows (morsel-relative, the pipeline's selection), which come back
-        as a :class:`~repro.engine.live.LiveColumn` at those rows, so the
-        load holds no buffer as wide as the morsel.  ``col`` is the
-        caller's :class:`StoredColumn` snapshot.
+        as a :class:`~repro.engine.runs.RunColumn` of one-row runs at
+        those rows, so the load holds no buffer as wide as the morsel.
+        ``col`` is the caller's :class:`StoredColumn` snapshot.
         """
         vals, codec = self._load_source(name, morsel, col)
         if codec is None:
             return vals
         with _morsel_guard(name, morsel):
             values = codec.gather_rows(col.payload, rows + morsel.row_lo)
-        return LiveColumn(values, rows, morsel.row_hi - morsel.row_lo)
+        return RunColumn(values, rows, morsel.row_hi - morsel.row_lo)
 
     # -- orchestration ------------------------------------------------------
 

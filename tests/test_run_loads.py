@@ -7,8 +7,10 @@
   compiled flights (sorted and unsorted) and the TPC-DS specs, on
   materialized, streaming (1 and 2 workers) and semantic-cache engines;
   the route must really be taken unless checksums are attached;
-* :class:`RunColumn` against its expansion: scalar arithmetic stays on
-  runs, anything else sees the rows, gaps read 0;
+* :class:`RunColumn` against its expansion, for runs of many rows and
+  for one-row runs: scalar arithmetic and operations between columns
+  over the same runs stay in form, anything else sees the rows, gaps
+  read 0, and a column re-aligns with a selection as it narrows;
 * the pipeline's run operators against the row route on a hand-built
   span, including dead runs whose keys no dimension holds.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine.crystal import CrystalEngine, SSBQuery
+from repro.engine.crystal import CrystalEngine, FactPipeline, SSBQuery
 from repro.engine.lookup import MISS
 from repro.engine.predicates import Range
 from repro.engine.runs import RunColumn
@@ -120,64 +122,135 @@ class TestRunRouteDifferential:
 
 # -- RunColumn -----------------------------------------------------------------
 
+#: The column's two shapes: runs of many rows, and one-row runs
+#: (``lengths is None``: a sparse load or a probe under a selection).
+FORMS = ("runs", "unit")
 
-def _column(rng, n=2000, gaps=True):
-    """Random ascending runs over ``n`` rows, some rows left uncovered."""
-    bounds = np.unique(np.concatenate(([0, n], rng.integers(1, n, 300))))
-    starts, lengths = bounds[:-1], np.diff(bounds)
-    if gaps:
-        keep = rng.random(starts.size) < 0.8
-        starts, lengths = starts[keep], lengths[keep]
+
+def _column(rng, form, n=2000, gaps=True):
+    """Random ascending runs over ``n`` rows in ``form``, some rows left
+    uncovered when ``gaps``; returns the column, its expansion and the
+    covered rows' mask."""
+    if form == "unit":
+        starts = np.flatnonzero(rng.random(n) < 0.8) if gaps else np.arange(n)
+        lengths = None
+    else:
+        bounds = np.unique(np.concatenate(([0, n], rng.integers(1, n, 300))))
+        starts, lengths = bounds[:-1], np.diff(bounds)
+        if gaps:
+            keep = rng.random(starts.size) < 0.8
+            starts, lengths = starts[keep], lengths[keep]
     values = rng.integers(-50, 50, starts.size)
+    runs = RunColumn(values, starts, n, lengths)
     dense = np.zeros(n, dtype=np.int64)
     covered = np.zeros(n, dtype=bool)
-    for v, s, m in zip(values, starts, lengths):
+    for v, s, m in zip(values, starts, _lengths(runs)):
         dense[s : s + m] = v
         covered[s : s + m] = True
-    return RunColumn(values, lengths, starts, n), dense, covered
+    return runs, dense, covered
+
+
+def _lengths(runs):
+    return np.ones(runs.starts.size, dtype=np.int64) if runs.lengths is None else runs.lengths
+
+
+def _small(form):
+    """Three one-row runs at rows 1, 4 and 6 of 8, in ``form`` (one-row
+    runs, or runs whose lengths are spelled out)."""
+    lengths = None if form == "unit" else np.ones(3, dtype=np.int64)
+    return RunColumn(np.array([5, -1, 7]), np.array([1, 4, 6]), 8, lengths)
 
 
 class TestRunColumn:
+    """Each test runs over both forms (:data:`FORMS`)."""
+
     @pytest.mark.parametrize("gaps", (False, True))
     def test_matches_its_expansion(self, rng, gaps):
-        runs, dense, covered = _column(rng, gaps=gaps)
-        assert runs.shape == dense.shape and len(runs) == dense.size
-        assert runs.covers_span is not gaps
-        assert np.array_equal(np.asarray(runs), dense)
-        assert np.array_equal(runs.rows_of(), np.flatnonzero(covered))
-        for frac in (0.05, 0.6, 1.0):
-            chosen = np.flatnonzero(rng.random(runs.values.size) < frac)
-            mask = np.zeros(dense.size, dtype=bool)
-            for s, m in zip(runs.starts[chosen], runs.lengths[chosen]):
-                mask[s : s + m] = True
-            assert np.array_equal(runs.rows_of(chosen), np.flatnonzero(mask))
-        for frac in (0.01, 0.5, 1.0):
-            rows = np.flatnonzero(covered & (rng.random(dense.size) < frac))
-            assert np.array_equal(runs.values[runs.run_of(rows)], dense[rows])
+        for form in FORMS:
+            runs, dense, covered = _column(rng, form, gaps=gaps)
+            assert (runs.lengths is None) == (form == "unit")
+            assert runs.shape == dense.shape and len(runs) == dense.size
+            assert runs.covers_span is not gaps
+            assert runs.covered == np.count_nonzero(covered)
+            assert np.array_equal(np.asarray(runs), dense)
+            assert np.array_equal(runs.rows_of(), np.flatnonzero(covered))
+            for frac in (0.05, 0.6, 1.0):
+                chosen = np.flatnonzero(rng.random(runs.values.size) < frac)
+                mask = np.zeros(dense.size, dtype=bool)
+                for s, m in zip(runs.starts[chosen], _lengths(runs)[chosen]):
+                    mask[s : s + m] = True
+                assert np.array_equal(runs.rows_of(chosen), np.flatnonzero(mask))
+            for frac in (0.0, 0.01, 0.5, 1.0):
+                rows = np.flatnonzero(covered & (rng.random(dense.size) < frac))
+                assert np.array_equal(runs.values[runs.run_of(rows)], dense[rows])
 
     def test_scalar_ops_stay_on_runs(self, rng):
-        runs, dense, _ = _column(rng)
-        for got, want in (
-            (runs != MISS, dense != MISS),
-            (runs >= 0, dense >= 0),
-            (runs * 3 + 1, dense * 3 + 1),
-            (np.maximum(runs, 0), np.maximum(dense, 0)),
-        ):
-            assert isinstance(got, RunColumn) and got.same_runs(runs)
-            assert np.array_equal(np.asarray(got), np.where(_covered(runs), want, 0))
+        for form in FORMS:
+            runs, dense, covered = _column(rng, form)
+            for got, want in (
+                (runs != MISS, dense != MISS),
+                (runs >= 0, dense >= 0),
+                (runs * 3 + 1, dense * 3 + 1),
+                (np.maximum(runs, 0), np.maximum(dense, 0)),
+            ):
+                assert isinstance(got, RunColumn) and got.same_runs(runs)
+                assert got.lengths is runs.lengths
+                assert np.array_equal(np.asarray(got), np.where(covered, want, 0))
+            col = _small(form)
+            for got, want in (
+                (col != MISS, [True, False, True]),
+                (col * 2 + 1, [11, -1, 15]),
+                (np.maximum(col, 0), [5, 0, 7]),
+            ):
+                assert isinstance(got, RunColumn) and got.same_runs(col)
+                assert got.values.tolist() == want
+            # Columns over the same runs combine in form too.
+            same = col + col.with_values(np.array([1, 1, 1]))
+            assert isinstance(same, RunColumn) and same.same_runs(col)
+            assert same.values.tolist() == [6, 0, 8]
 
     def test_other_ops_see_rows(self, rng):
-        runs, dense, _ = _column(rng, gaps=False)
-        other = rng.integers(0, 9, dense.size)
-        assert np.array_equal(runs + other, dense + other)
-        assert np.array_equal(np.where(runs >= 0, runs, 0), np.where(dense >= 0, dense, 0))
-        assert np.array_equal(np.asarray(runs, dtype=np.float64), dense.astype(np.float64))
+        for form in FORMS:
+            for gaps in (False, True):
+                runs, dense, _ = _column(rng, form, gaps=gaps)
+                other = rng.integers(0, 9, dense.size)
+                assert np.array_equal(runs + other, dense + other)
+                assert np.array_equal(
+                    np.where(runs >= 0, runs, 0), np.where(dense >= 0, dense, 0)
+                )
+                assert np.array_equal(
+                    np.asarray(runs, dtype=np.float64), dense.astype(np.float64)
+                )
+            # Rows no run covers read 0, against arrays and other runs.
+            col = _small(form)
+            assert np.asarray(col).tolist() == [0, 5, 0, 0, -1, 0, 7, 0]
+            assert (col + np.arange(8)).tolist() == [0, 6, 2, 3, 3, 5, 13, 7]
+            other = RunColumn(np.array([1, 2]), np.array([1, 6]), 8)
+            assert np.asarray(col + other).tolist() == [0, 6, 0, 0, -1, 0, 9, 0]
+            # One-row and multi-row columns mix through their expansions.
+            runs = RunColumn(np.array([1, 2]), np.array([0, 4]), 8, np.array([4, 4]))
+            assert np.asarray(col + runs).tolist() == [1, 6, 1, 1, 1, 2, 9, 2]
+            assert np.asarray(runs + col).tolist() == [1, 6, 1, 1, 1, 2, 9, 2]
+            mine, dense, _ = _column(rng, form)
+            for other_form in FORMS:
+                other, other_dense = _column(rng, other_form)[:2]
+                assert np.array_equal(np.asarray(mine + other), dense + other_dense)
+                assert np.array_equal(np.asarray(other + mine), other_dense + dense)
 
-
-def _covered(runs):
-    mask = np.zeros(runs.n, dtype=bool)
-    mask[runs.rows_of()] = True
-    return mask
+    def test_realigns_after_the_selection_narrows(self, rng):
+        n = 3 * 512 + 9
+        for form in FORMS:
+            runs, dense, covered = _column(rng, form, n=n)
+            # Operators on hand-built columns never reach the engine.
+            p = FactPipeline(None, "realign", rows=n, tiles=4)
+            p.filter(covered)  # rows no run covers are dead
+            if form == "unit":
+                assert p.live(runs) is runs.values
+            assert np.array_equal(p.live(runs), dense[covered])
+            for frac in (0.5, 0.05, 0.0):
+                p.filter(rng.random(p.live_count) < frac)
+                assert np.array_equal(p.live(runs), dense[p.rows])
+            assert p.live(runs).size == 0
 
 
 # -- the pipeline's run operators ----------------------------------------------
